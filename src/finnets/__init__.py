@@ -37,10 +37,8 @@ from .errors import (
 from .features import (
     FEATURE_NAMES,
     FeatureConfig,
-    FeatureValue,
     Signal,
     compute_feature,
-    feature_vector,
     feature_width,
     fundamental_frequency,
     kurtosis,
@@ -58,7 +56,6 @@ from .nets import (
     forward,
     gradcheck_suite,
     init_random,
-    predict,
     train,
 )
 from .signals import (

@@ -29,10 +29,10 @@ from .errors import (
     ShapeError,
     SplitError,
 )
-from .nets import DenseNet, Topology, TrainConfig
+from .nets import Topology, TrainConfig
 from .rng import derive_seed, rng_for
 
-SPLIT_MODES = ("repeated_random", "leave_subjects_out", "fraction_sweep")
+SPLIT_MODES = ("repeated_random", "leave_subjects_out")
 SEARCH_WIDTHS = (32, 64, 128, 256, 512)
 SEARCH_DEPTHS = (2, 10)  # inclusive range of affine layer counts
 
@@ -215,8 +215,8 @@ def make_multi_feature_task(
 # Dataset CSV interchange
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _fmt(x) -> str:
+    return "%.17g" % float(x)
 
 
 def export_dataset_csv(data: LabeledDataset, path) -> None:
@@ -253,6 +253,7 @@ def ingest_dataset_csv(path) -> LabeledDataset:
             raise IngestError(1, "value columns must be v0..v{d-1}")
 
         items = []  # (item_id, subject, label, [channel rows])
+        seen = set()
         current = None
         for row_no, row in enumerate(reader, start=2):
             if len(row) != 4 + tf_dim:
@@ -267,8 +268,9 @@ def ingest_dataset_csv(path) -> LabeledDataset:
             if label < 0:
                 raise IngestError(row_no, "labels must be non-negative")
             if current is None or current[0] != item_id:
-                if any(item_id == it[0] for it in items):
+                if item_id in seen:
                     raise IngestError(row_no, f"channels of item {item_id} are not adjacent")
+                seen.add(item_id)
                 current = (item_id, subject, label, [])
                 items.append(current)
             if subject != current[1]:
@@ -333,8 +335,6 @@ class SplitPlan:
             raise ValueError("fractions must lie in (0, 1]")
         if list(fr) != sorted(fr):
             raise ValueError("fractions must be sorted ascending")
-        if self.mode == "fraction_sweep" and not fr:
-            raise ValueError("fraction_sweep needs a non-empty fractions list")
         object.__setattr__(self, "fractions", fr)
 
 
@@ -488,6 +488,14 @@ def _single_channel_inputs(data: LabeledDataset):
     return data.inputs[:, 0, :]
 
 
+def _fine_tune(net, x, labels, train_idx, val_idx, run_seed, cfg):
+    """Fine-tune on the training rows of `x`, stopping on the validation rows."""
+    tcfg = replace(cfg, seed=derive_seed(run_seed, "train"))
+    return en.fine_tune(
+        net, (x[train_idx], labels[train_idx]), (x[val_idx], labels[val_idx]), tcfg
+    )
+
+
 def _dense_predictor(net):
     def predict(data, idx):
         probs = nets.forward(net, _single_channel_inputs(data)[idx])
@@ -508,12 +516,8 @@ class TransferFinModel:
         head = en.attach_head(
             self.artifact, data.n_classes, derive_seed(run_seed, "fin-head")
         )
-        tcfg = replace(cfg, seed=derive_seed(run_seed, "train"))
-        trained, history = en.fine_tune(
-            head,
-            (x[train_idx], data.labels[train_idx]),
-            (x[val_idx], data.labels[val_idx]),
-            tcfg,
+        trained, history = _fine_tune(
+            head, x, data.labels, train_idx, val_idx, run_seed, cfg
         )
         return _dense_predictor(trained), history
 
@@ -534,12 +538,8 @@ class RandomDenseModel:
         if self.topology.output_dim != data.n_classes:
             raise ShapeError("topology output dim must match n_classes")
         net = nets.init_random(self.topology, derive_seed(run_seed, "baseline-init"))
-        tcfg = replace(cfg, seed=derive_seed(run_seed, "train"))
-        trained, history = en.fine_tune(
-            net,
-            (x[train_idx], data.labels[train_idx]),
-            (x[val_idx], data.labels[val_idx]),
-            tcfg,
+        trained, history = _fine_tune(
+            net, x, data.labels, train_idx, val_idx, run_seed, cfg
         )
         return _dense_predictor(trained), history
 
@@ -560,12 +560,8 @@ class EnsembleFinModel:
             data.n_classes,
             derive_seed(run_seed, "ensemble-head"),
         )
-        tcfg = replace(cfg, seed=derive_seed(run_seed, "train"))
-        trained, history = en.fine_tune(
-            ensemble,
-            (data.inputs[train_idx], data.labels[train_idx]),
-            (data.inputs[val_idx], data.labels[val_idx]),
-            tcfg,
+        trained, history = _fine_tune(
+            ensemble, data.inputs, data.labels, train_idx, val_idx, run_seed, cfg
         )
 
         def predict(d, idx):
@@ -793,7 +789,7 @@ def aggregate_fractions(runs):
 
 
 def _enumerate_splits(data: LabeledDataset, plan: SplitPlan):
-    if plan.mode in ("repeated_random", "fraction_sweep"):
+    if plan.mode == "repeated_random":
         return [(k, split_repeated(data, plan, k)) for k in range(plan.repeats)]
     if data.subject_ids is None:
         raise SplitError("leave_subjects_out needs subject ids")

@@ -24,6 +24,8 @@ from . import features as fe
 from . import nets
 from . import report as rp
 from . import signals as sg
+from .bench import _fmt
+from .engine import _canonical_json
 from .errors import (
     CorruptArtifact,
     CorpusDegenerateError,
@@ -45,14 +47,6 @@ GRADCHECK_TOLERANCE = 1e-4
 
 class CliError(Exception):
     """Invalid flags or config; maps to exit code 2."""
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _out_dir(args) -> str:
@@ -300,26 +294,26 @@ def cmd_bench(args) -> int:
     if args.serial_timing:
         resolved["workers"] = 1
     out_dir = _out_dir(args)
-    protocol = resolved["protocol"]
-    if protocol not in ("repeated-random", "leave-subjects-out"):
-        raise CliError("--protocol must be repeated-random or leave-subjects-out")
-    fractions = ()
-    if resolved["fractions"]:
-        try:
-            fractions = tuple(
-                float(f) for f in str(resolved["fractions"]).split(",") if f
-            )
-        except ValueError as exc:
-            raise CliError(f"bad --fractions: {exc}") from exc
-
-    seed = int(resolved["seed"])
-    data = _parse_task(resolved)
-    cfg = _train_config(resolved, seed)
     try:
+        protocol = resolved["protocol"]
+        if protocol not in ("repeated-random", "leave-subjects-out"):
+            raise CliError("--protocol must be repeated-random or leave-subjects-out")
+        fractions = ()
+        if resolved["fractions"]:
+            try:
+                fractions = tuple(
+                    float(f) for f in str(resolved["fractions"]).split(",") if f
+                )
+            except ValueError as exc:
+                raise CliError(f"bad --fractions: {exc}") from exc
+
+        seed = int(resolved["seed"])
+        data = _parse_task(resolved)
+        cfg = _train_config(resolved, seed)
         models, search_records = _parse_models(resolved, data, cfg, seed)
         mode = (
             "leave_subjects_out" if protocol == "leave-subjects-out"
-            else ("fraction_sweep" if fractions else "repeated_random")
+            else "repeated_random"
         )
         plan = B.SplitPlan(
             mode=mode,
@@ -330,29 +324,32 @@ def cmd_bench(args) -> int:
         report = B.run_benchmark(
             data, plan, models, cfg, workers=int(resolved["workers"])
         )
-    except (DivergedError, SplitError, ValueError) as exc:
+        tags = [m.tag for m in models]
+        comparisons = []
+        for i, a in enumerate(tags):
+            for b in tags[i + 1:]:
+                comparisons.append(("welch", a, b, "greater"))
+                comparisons.append(("levene", a, b, None))
+        if comparisons and all(
+            agg["n_runs"] >= 2 for agg in report.aggregates.values()
+        ):
+            rp.add_model_comparisons(report, comparisons)
+        rp.emit_report(report, out_dir, zero_timing=args.zero_timing)
+        if search_records is not None:
+            if args.zero_timing:
+                search_records = [{**r, "train_seconds": 0.0} for r in search_records]
+            rp.emit_search_records(search_records, out_dir)
+        _echo_config({**resolved, "fractions": list(fractions)}, out_dir, "bench")
+        for tag, agg in report.aggregates.items():
+            print(
+                f"model {tag} accuracy {_fmt(agg['mean_accuracy'])}"
+                f" std {_fmt(agg['std_accuracy'])} runs {agg['n_runs']}"
+            )
+    except Exception as exc:
+        # the marker must exist whatever failed; main() maps the exit code
         with open(os.path.join(out_dir, "FAILED"), "w", encoding="utf-8") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
         raise
-    tags = [m.tag for m in models]
-    comparisons = []
-    for i, a in enumerate(tags):
-        for b in tags[i + 1:]:
-            comparisons.append(("welch", a, b, "greater"))
-            comparisons.append(("levene", a, b, None))
-    if comparisons and all(
-        agg["n_runs"] >= 2 for agg in report.aggregates.values()
-    ):
-        rp.add_model_comparisons(report, comparisons)
-    rp.emit_report(report, out_dir, zero_timing=args.zero_timing)
-    if search_records is not None:
-        rp.emit_search_records(search_records, out_dir)
-    _echo_config({**resolved, "fractions": list(fractions)}, out_dir, "bench")
-    for tag, agg in report.aggregates.items():
-        print(
-            f"model {tag} accuracy {_fmt(agg['mean_accuracy'])}"
-            f" std {_fmt(agg['std_accuracy'])} runs {agg['n_runs']}"
-        )
     return EXIT_OK
 
 
@@ -450,9 +447,7 @@ def cmd_oracle(args) -> int:
     for i, signal in enumerate(signals):
         value = fe.compute_feature(signal, feature)
         if lo is not None:
-            if value.shape != lo.shape:
-                raise CliError("normalization range width mismatch")
-            value = np.clip((value - lo) / (hi - lo), 0.0, 1.0)
+            value = fe.normalize_feature(value, lo, hi)
         print(f"{i} " + " ".join(_fmt(v) for v in value))
     return EXIT_OK
 

@@ -24,8 +24,14 @@ import numpy as np
 from . import features as fe
 from . import nets
 from . import signals as sg
-from .errors import CorpusDegenerateError, CorruptArtifact, ShapeError, UnsupportedVersion
-from .nets import DenseNet, Topology, TrainConfig, TrainHistory
+from .errors import (
+    CorpusDegenerateError,
+    CorruptArtifact,
+    FeatureError,
+    ShapeError,
+    UnsupportedVersion,
+)
+from .nets import DenseNet, Topology, TrainConfig
 from .rng import derive_seed, rng_for
 
 FORMAT_VERSION = 1
@@ -165,7 +171,7 @@ def pretrain_fin(
 
     train_idx, val_idx = split_indices(cfg.seed, n_signals)
     lo, hi = normalization_range(raw_targets[train_idx])
-    targets = np.clip((raw_targets - lo) / (hi - lo), 0.0, 1.0)
+    targets = fe.normalize_feature(raw_targets, lo, hi)
 
     net = nets.init_random(topology, derive_seed(cfg.seed, "pretrain-init"))
     trained, history = nets.train(
@@ -397,10 +403,7 @@ class EnsembleNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, shape (batch, class_count)."""
-        logits = self.logits(x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return nets._softmax(self.logits(x))
 
     def loss_and_grads(self, x: np.ndarray, targets: np.ndarray):
         x = self._check_input(x)
@@ -409,11 +412,7 @@ class EnsembleNet:
         concat, caches = self._forward_cached(x)
         logits = concat @ self.head_w.T + self.head_b
         value = nets.loss_value("softmax_ce", logits, targets)
-
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-        delta = (probs - targets) / batch
+        delta = (nets._softmax(logits) - targets) / batch
 
         grads = []
         d_concat = delta @ self.head_w
@@ -523,10 +522,8 @@ def reconstruction_report(
         try:
             raw = fe.compute_feature(signal, artifact.feature, config)
         except Exception as exc:
-            raise fe.FeatureError(artifact.feature, f"signal {i}: {exc}") from exc
-        targets.append(
-            np.clip((raw - artifact.norm_lo) / (artifact.norm_hi - artifact.norm_lo), 0.0, 1.0)
-        )
+            raise FeatureError(artifact.feature, f"signal {i}: {exc}") from exc
+        targets.append(fe.normalize_feature(raw, artifact.norm_lo, artifact.norm_hi))
         preds.append(nets.forward(artifact.net, sg.flatten_tf(sg.wavelet_transform(signal))))
     preds = np.atleast_2d(np.asarray(preds))
     targets = np.atleast_2d(np.asarray(targets))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import DegenerateSignal, FeatureError
+from .errors import DegenerateSignal
 
 # Canonical lowercase feature names, used in file formats and CLI flags.
 FEATURE_NAMES = ("entropy", "kurtosis", "skewness", "f0", "mfcc", "regularity")
@@ -58,22 +58,6 @@ class Signal:
 
     def __len__(self):
         return self.samples.size
-
-
-@dataclass(frozen=True)
-class FeatureValue:
-    """A fixed-length feature vector plus a flag for [0,1] normalization."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if self.normalized and values.size and (
-            values.min() < 0.0 or values.max() > 1.0
-        ):
-            raise ValueError("normalized values must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
 
 
 def feature_width(feature: str, n_mfcc: int = DEFAULT_N_MFCC) -> int:
@@ -250,27 +234,18 @@ def regularity(signal: Signal) -> float:
     return float(np.clip(value, 0.0, 1.0))
 
 
-def normalize_feature(
-    value: FeatureValue, lo: np.ndarray, hi: np.ndarray
-) -> FeatureValue:
-    """Affinely map a raw feature into [0, 1], clipping out-of-range values."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    if lo.shape != value.values.shape or hi.shape != value.values.shape:
+def normalize_feature(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Affinely map raw feature values into [0, 1], clipping out-of-range ones.
+
+    `values` holds one feature vector or a batch of them in its last axis;
+    `lo` and `hi` give the range of each component and must satisfy
+    hi > lo elementwise.
+    """
+    if lo.shape != values.shape[-1:] or hi.shape != values.shape[-1:]:
         raise ValueError("normalization range shape mismatch")
     if not np.all(hi > lo):
         raise ValueError("normalization range requires hi > lo elementwise")
-    scaled = np.clip((value.values - lo) / (hi - lo), 0.0, 1.0)
-    return FeatureValue(scaled, normalized=True)
-
-
-def denormalize_feature(
-    value: FeatureValue, lo: np.ndarray, hi: np.ndarray
-) -> FeatureValue:
-    """Inverse of `normalize_feature` on the unclipped region."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    return FeatureValue(value.values * (hi - lo) + lo, normalized=False)
+    return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -305,24 +280,3 @@ def compute_feature(
     if feature == "regularity":
         return np.array([regularity(signal)])
     raise ValueError(f"unknown feature {feature!r}")
-
-
-def feature_vector(
-    signal: Signal,
-    features,
-    config: FeatureConfig = FeatureConfig(),
-) -> FeatureValue:
-    """Concatenate raw oracle outputs for several features, in list order.
-
-    The first failing feature aborts the computation with a `FeatureError`
-    carrying its name.
-    """
-    parts = []
-    for name in features:
-        try:
-            parts.append(compute_feature(signal, name, config))
-        except FeatureError:
-            raise
-        except Exception as exc:
-            raise FeatureError(name, exc) from exc
-    return FeatureValue(np.concatenate(parts) if parts else np.empty(0))

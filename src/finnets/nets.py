@@ -195,10 +195,6 @@ def forward(net: DenseNet, x: np.ndarray, want_cache: bool = False):
     return out
 
 
-def predict(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    return forward(net, x)
-
-
 def loss_value(loss: str, output: np.ndarray, targets: np.ndarray) -> float:
     """Mean batch loss. For softmax_ce, `output` must be the logits."""
     if loss == "mse":
@@ -254,19 +250,6 @@ def sgd_update(params: list, grads: list, velocity: list, lr: float, momentum: f
         v *= momentum
         v -= lr * g
         p += v
-
-
-def sgd_step(net: DenseNet, grads_w, grads_b, velocity, lr, momentum):
-    """Apply one momentum update to every parameter of a dense net.
-
-    `velocity` is a list matching `net.parameters()` order and is updated
-    in place; pass zero arrays on the first call.
-    """
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend((gw, gb))
-    sgd_update(net.parameters(), grads, velocity, lr, momentum)
-    return net, velocity
 
 
 def zero_velocity(params: list) -> list:
@@ -424,44 +407,36 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def finite_difference_check(
-    net: DenseNet,
+    model,
     inputs: np.ndarray,
     targets: np.ndarray,
-    loss: str,
     h: float = 1e-5,
     corrupt: bool = False,
 ) -> float:
     """Max relative error between backprop and central finite differences.
 
-    With `corrupt` set, the largest analytic gradient entry is perturbed
-    before comparison; this negative control must make the check fail.
+    `model` follows the training protocol (`parameters`, `loss_and_grads`,
+    `eval_loss`), so dense and ensemble networks are checked alike. With
+    `corrupt` set, the largest entry of the first analytic gradient is
+    perturbed before comparison; this negative control must make the
+    check fail.
     """
-    grads_w, grads_b, _ = backprop(net, inputs, targets, loss)
-    analytic = []
-    for gw, gb in zip(grads_w, grads_b):
-        analytic.extend((gw.copy(), gb.copy()))
+    _, analytic = model.loss_and_grads(inputs, targets)
     if corrupt:
-        flat = np.concatenate([g.ravel() for g in analytic])
-        target_arr = analytic[0]
-        pos = np.unravel_index(np.argmax(np.abs(target_arr)), target_arr.shape)
-        target_arr[pos] = target_arr[pos] * 1.5 + 1e-2
-        del flat
-
-    def batch_loss() -> float:
-        if loss == "softmax_ce":
-            return loss_value("softmax_ce", _forward_logits(net, inputs), targets)
-        return loss_value("mse", forward(net, inputs), targets)
+        first = analytic[0]
+        pos = np.unravel_index(np.argmax(np.abs(first)), first.shape)
+        first[pos] = first[pos] * 1.5 + 1e-2
 
     max_rel = 0.0
-    for param, grad in zip(net.parameters(), analytic):
+    for param, grad in zip(model.parameters(), analytic):
         flat_p = param.ravel()
         flat_g = grad.ravel()
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            up = batch_loss()
+            up = model.eval_loss(inputs, targets)
             flat_p[i] = orig - h
-            down = batch_loss()
+            down = model.eval_loss(inputs, targets)
             flat_p[i] = orig
             numeric = (up - down) / (2.0 * h)
             rel = abs(flat_g[i] - numeric) / max(abs(flat_g[i]), abs(numeric), 1e-8)
@@ -504,5 +479,6 @@ def gradcheck_suite(n_nets: int = 20, seed: int = 2024, h: float = 1e-5) -> floa
     worst = 0.0
     for _ in range(n_nets):
         net, inputs, targets, loss = _gradcheck_case(rng)
-        worst = max(worst, finite_difference_check(net, inputs, targets, loss, h))
+        model = DenseModel(net, loss)
+        worst = max(worst, finite_difference_check(model, inputs, targets, h))
     return worst

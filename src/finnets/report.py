@@ -8,13 +8,13 @@ byte-level comparisons.
 """
 
 import csv
-import json
 import os
 
 import numpy as np
 
 from . import stats as st
-from .bench import EvalReport, aggregate_fractions, aggregate_runs
+from .bench import EvalReport, _fmt, aggregate_fractions, aggregate_runs
+from .engine import _canonical_json
 from .errors import DegenerateGroups
 
 RUNS_CSV = "runs.csv"
@@ -23,14 +23,6 @@ LOSS_CURVES_CSV = "loss_curves.csv"
 FRACTION_CSV = "fraction_accuracy.csv"
 SEARCH_CSV = "search_runs.csv"
 REPORT_JSON = "report.json"
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _zeroed(report: EvalReport) -> EvalReport:

@@ -17,7 +17,7 @@ import scipy.signal
 
 from .errors import DegenerateSignal
 from .features import Signal
-from .rng import derive_seed, rng_for
+from .rng import rng_for
 
 GENERATOR_FAMILIES = ("white_noise", "sine_mixture", "ar_process", "burst")
 

@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
 Ten criteria, one test each, run against full-size feature networks
-pretrained inside the session fixtures (the two 20k-signal pretrains
-dominate the suite's runtime; expect roughly an hour on one core).
+pretrained inside the session fixtures (the 20k-signal pretrains and
+criterion 7 dominate the runtime; the module took 13.5 min on two Xeon
+cores with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31).
 Every test prints a `[criterion N] PASS/FAIL` line with the measured
 numbers; run with `-s` (or read failure output) to see them.
 """
@@ -95,7 +96,7 @@ def burst_task():
 def transfer_report(burst_task, entropy_fin):
     art, _ = entropy_fin
     plan = bench.SplitPlan(
-        mode="fraction_sweep", fractions=(0.2, 0.4), repeats=10, seed=4242
+        mode="repeated_random", fractions=(0.2, 0.4), repeats=10, seed=4242
     )
     models = [
         bench.TransferFinModel("fin", art),
@@ -138,7 +139,8 @@ def test_criterion_02_gradient_correctness():
     net = nets.init_random(nets.Topology((6, 5, 3), ("relu", "linear")), 5)
     x = rng.standard_normal((4, 6))
     y = rng.standard_normal((4, 3))
-    control = nets.finite_difference_check(net, x, y, "mse", corrupt=True)
+    model = nets.DenseModel(net, "mse")
+    control = nets.finite_difference_check(model, x, y, corrupt=True)
     secs = time.perf_counter() - t0
     ok = worst <= 1e-4 and control > 1e-4 and secs <= 60
     _verdict(
@@ -263,7 +265,7 @@ def test_criterion_06_variance_reduction(burst_task, entropy_fin):
         burst_task, search_cfg, seed=777, n_candidates=20
     )
     plan = bench.SplitPlan(
-        mode="fraction_sweep", fractions=(0.1,), repeats=30, seed=4242
+        mode="repeated_random", fractions=(0.1,), repeats=30, seed=4242
     )
     models = [
         bench.TransferFinModel("fin", art),

@@ -131,8 +131,8 @@ def test_split_plan_validation():
         bench.SplitPlan(fractions=(0.4, 0.2))
     with pytest.raises(ValueError):
         bench.SplitPlan(fractions=(0.2, 1.5))
-    with pytest.raises(ValueError):
-        bench.SplitPlan(mode="fraction_sweep", fractions=())
+    with pytest.raises(ValueError):  # a sweep is repeated_random with fractions
+        bench.SplitPlan(mode="fraction_sweep", fractions=(0.5,))
 
 
 def test_split_leave_subjects_out():
@@ -472,13 +472,13 @@ def test_fraction_one_matches_plain_split():
     models = [bench.KnnModel(k=3), bench.LinearMarginModel()]
     plain = bench.run_benchmark(
         data,
-        bench.SplitPlan(mode="repeated_random", repeats=2, seed=5),
+        bench.SplitPlan(mode="repeated_random", fractions=(), repeats=2, seed=5),
         models,
         FAST_CFG,
     )
     sweep = bench.run_benchmark(
         data,
-        bench.SplitPlan(mode="fraction_sweep", fractions=(1.0,), repeats=2, seed=5),
+        bench.SplitPlan(mode="repeated_random", fractions=(1.0,), repeats=2, seed=5),
         models,
         FAST_CFG,
     )

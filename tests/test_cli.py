@@ -180,6 +180,10 @@ def test_oracle_flag_validation(tmp_path, capsys):
     assert main(["oracle", "--feature", "entropy", "--demo", "xhz-sine"]) == 2
     assert main(["oracle", "--feature", "entropy", "--demo", "noise",
                  "--normalized"]) == 2
+    # an empty or reversed range is a config error, not a number
+    for bad_range in ("1:1", "5:1"):
+        assert main(["oracle", "--feature", "entropy", "--demo", "noise",
+                     "--normalized", "--range", bad_range]) == 2
     # degenerate input maps to the config-error code, not a traceback
     assert main(["oracle", "--feature", "kurtosis", "--demo", "constant"]) == 2
     capsys.readouterr()
@@ -253,13 +257,15 @@ def test_bench_search_model_writes_records(tmp_path, capsys):
     code = main(BENCH_BASE + [
         "--repeats", "2", "--models", "baseline-search",
         "--search-candidates", "2", "--max-epochs", "4", "--patience", "4",
-        "--out-dir", str(tmp_path),
+        "--zero-timing", "--out-dir", str(tmp_path),
     ])
     capsys.readouterr()
     assert code == 0
     rows = read_rows(tmp_path / "search_runs.csv")
     assert len(rows) == 1 + 2 * 3  # candidates x search splits
     assert rows[0][0] == "candidate"
+    seconds = rows[0].index("train_seconds")
+    assert [r[seconds] for r in rows[1:]] == ["0"] * 6
 
 
 def test_bench_loso_without_subjects_fails(tmp_path, capsys):
@@ -310,10 +316,20 @@ def test_bench_csv_task(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 0
+    assert not (tmp_path / "out" / "FAILED").exists()
+    # a task that cannot be built still leaves the FAILED marker
     assert main([
         "bench", "--task", "csv:/nonexistent.csv", "--models", "knn",
         "--out-dir", str(tmp_path / "out2"),
     ]) == 4
+    assert (tmp_path / "out2" / "FAILED").exists()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("item_id,label\n0,1\n")
+    assert main([
+        "bench", "--task", f"csv:{bad}", "--models", "knn",
+        "--out-dir", str(tmp_path / "out3"),
+    ]) == 2
+    assert (tmp_path / "out3" / "FAILED").read_text().startswith("IngestError")
     capsys.readouterr()
 
 

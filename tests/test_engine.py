@@ -10,9 +10,11 @@ from finnets import signals as sg
 from finnets.errors import (
     CorpusDegenerateError,
     CorruptArtifact,
+    FeatureError,
     ShapeError,
     UnsupportedVersion,
 )
+from finnets.features import Signal
 from finnets.rng import rng_for
 
 TINY_GEN = sg.GenSpec(length=64, seed=17)
@@ -127,6 +129,16 @@ def test_reconstruction_mse_matches_training_val_loss(tiny_artifact):
     assert report.n_signals == len(val_signals)
     assert 0.0 <= report.percentiles["p5"] <= report.percentiles["p95"] <= 1.0
     assert report.histogram_counts.sum() == report.n_signals
+
+
+def test_reconstruction_names_the_failing_feature_and_signal():
+    art = fake_artifact("kurtosis", 1, 7, in_dim=TINY_TOPOLOGY.input_dim)
+    good = sg.generate(TINY_GEN, 0)
+    constant = Signal(np.ones(len(good)), good.sample_rate)
+    with pytest.raises(FeatureError) as err:
+        engine.reconstruction_report(art, [good, constant])
+    assert err.value.feature == "kurtosis"
+    assert "signal 1" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +307,9 @@ def test_ensemble_gradients_match_finite_differences():
     rng = rng_for(2, "ens-fd")
     x = rng.standard_normal((5, 2, 6))
     targets = nets.one_hot(rng.integers(0, 3, size=5), 3)
-    value, grads = ens.loss_and_grads(x, targets)
+    value, _ = ens.loss_and_grads(x, targets)
     assert np.isfinite(value)
-
-    h = 1e-6
-    max_rel = 0.0
-    for param, grad in zip(ens.parameters(), grads):
-        flat_p, flat_g = param.ravel(), np.asarray(grad).ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = ens.eval_loss(x, targets)
-            flat_p[i] = orig - h
-            down = ens.eval_loss(x, targets)
-            flat_p[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            rel = abs(flat_g[i] - numeric) / max(abs(flat_g[i]), abs(numeric), 1e-8)
-            max_rel = max(max_rel, rel)
-    assert max_rel < 1e-4
+    assert nets.finite_difference_check(ens, x, targets, h=1e-6) < 1e-4
 
 
 def test_fine_tune_learns_strongest_channel_toy():

@@ -11,7 +11,7 @@ import scipy.stats
 
 from finnets import features as fe
 from finnets import signals as sg
-from finnets.errors import DegenerateSignal, FeatureError
+from finnets.errors import DegenerateSignal
 from finnets.rng import rng_for
 
 FS = 128.0
@@ -302,20 +302,25 @@ def test_regularity_rejects_all_zero():
 # vector plumbing
 # ---------------------------------------------------------------------------
 
-def test_normalize_denormalize_round_trip():
-    v = fe.FeatureValue(np.array([1.5, -0.5, 4.0]))
-    lo = np.array([0.0, -1.0, 0.0])
-    hi = np.array([2.0, 1.0, 8.0])
-    normed = fe.normalize_feature(v, lo, hi)
-    assert np.all((normed.values >= 0) & (normed.values <= 1))
-    back = fe.denormalize_feature(normed, lo, hi)
-    np.testing.assert_allclose(back.values, v.values, atol=1e-12)
-
-
 def test_normalize_clips_out_of_range():
-    v = fe.FeatureValue(np.array([-10.0, 10.0]))
-    normed = fe.normalize_feature(v, np.zeros(2), np.ones(2))
-    np.testing.assert_array_equal(normed.values, [0.0, 1.0])
+    normed = fe.normalize_feature(np.array([-10.0, 10.0]), np.zeros(2), np.ones(2))
+    np.testing.assert_array_equal(normed, [0.0, 1.0])
+
+
+def test_normalize_scales_each_row_of_a_batch():
+    values = np.array([[1.5, -0.5], [0.0, 1.0]])
+    lo, hi = np.array([0.0, -1.0]), np.array([2.0, 1.0])
+    normed = fe.normalize_feature(values, lo, hi)
+    np.testing.assert_allclose(normed, [[0.75, 0.25], [0.0, 1.0]], atol=1e-15)
+
+
+def test_normalize_rejects_bad_ranges():
+    with pytest.raises(ValueError):
+        fe.normalize_feature(np.ones(2), np.zeros(1), np.ones(1))  # width
+    with pytest.raises(ValueError):
+        fe.normalize_feature(np.ones(1), np.ones(1), np.ones(1))  # hi == lo
+    with pytest.raises(ValueError):
+        fe.normalize_feature(np.ones(1), np.array([5.0]), np.array([1.0]))
 
 
 def test_compute_feature_encodes_aperiodic_as_zero():
@@ -329,21 +334,6 @@ def test_compute_feature_widths_match_declaration():
     for name in fe.FEATURE_NAMES:
         out = fe.compute_feature(s, name)
         assert out.shape == (fe.feature_width(name),)
-
-
-def test_feature_vector_concatenates_in_order():
-    s = corpus(1)[0]
-    combined = fe.feature_vector(s, ["entropy", "mfcc", "regularity"])
-    assert combined.values.shape == (15,)
-    assert combined.values[0] == pytest.approx(fe.shannon_entropy(s))
-    assert combined.values[-1] == pytest.approx(fe.regularity(s))
-
-
-def test_feature_vector_wraps_failures_with_name():
-    constant = make_signal(np.ones(64))
-    with pytest.raises(FeatureError) as err:
-        fe.feature_vector(constant, ["entropy", "kurtosis"])
-    assert err.value.feature == "kurtosis"
 
 
 def test_signal_validation():

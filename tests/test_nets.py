@@ -89,11 +89,12 @@ def test_backprop_matches_finite_differences():
     mse_net = nets.init_random(nets.Topology((3, 5, 2), ("relu", "linear")), 7)
     x = rng.standard_normal((6, 3))
     y = rng.standard_normal((6, 2))
-    assert nets.finite_difference_check(mse_net, x, y, "mse") < 1e-6
+    assert nets.finite_difference_check(nets.DenseModel(mse_net, "mse"), x, y) < 1e-6
 
     ce_net = nets.init_random(nets.Topology((3, 4, 3), ("tanh", "softmax")), 8)
     labels = nets.one_hot(rng.integers(0, 3, size=6), 3)
-    assert nets.finite_difference_check(ce_net, x, labels, "softmax_ce") < 1e-6
+    ce_model = nets.DenseModel(ce_net, "softmax_ce")
+    assert nets.finite_difference_check(ce_model, x, labels) < 1e-6
 
 
 def test_backprop_shape_errors():
@@ -114,7 +115,8 @@ def test_gradcheck_suite_passes_and_control_fails():
     net = nets.init_random(nets.Topology((3, 4, 2), ("relu", "linear")), 5)
     x = rng.standard_normal((4, 3))
     y = rng.standard_normal((4, 2))
-    assert nets.finite_difference_check(net, x, y, "mse", corrupt=True) > 1e-4
+    model = nets.DenseModel(net, "mse")
+    assert nets.finite_difference_check(model, x, y, corrupt=True) > 1e-4
 
 
 def test_sgd_recurrence_by_hand():
