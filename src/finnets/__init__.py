@@ -64,6 +64,7 @@ from .signals import (
     flatten_tf,
     gen_spec_digest,
     generate,
+    scalograms,
     standardize,
     wavelet_transform,
 )

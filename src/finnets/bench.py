@@ -98,18 +98,13 @@ def _channel_mean_feature(signal_rows, feature, config):
 
 
 def _materialize_items(gen, n_items, n_channels):
-    """Signals and flattened scalograms for an item grid."""
-    probe = sg.flatten_tf(sg.wavelet_transform(sg.generate(gen, 0)))
-    inputs = np.empty((n_items, n_channels, probe.size))
-    signals = []
-    for i in range(n_items):
-        row = []
-        for c in range(n_channels):
-            s = sg.generate(gen, i * n_channels + c)
-            row.append(s)
-            inputs[i, c] = sg.flatten_tf(sg.wavelet_transform(s))
-        signals.append(row)
-    return inputs, signals
+    """Signals and flattened scalograms for an item grid; signal
+    i * n_channels + c feeds channel c of item i."""
+    samples = en.corpus_samples(gen, n_items * n_channels)
+    mags, _ = sg.scalograms(samples, gen.sample_rate)
+    inputs = mags.reshape(n_items, n_channels, mags.shape[1] * mags.shape[2])
+    signals = [fe.Signal(row, gen.sample_rate) for row in samples]
+    return inputs, [signals[i * n_channels : (i + 1) * n_channels] for i in range(n_items)]
 
 
 def _threshold_labels(scores, rho, seed):

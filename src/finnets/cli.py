@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 check failed, 2 config error, 3 training divergence,
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -294,6 +295,9 @@ def cmd_bench(args) -> int:
     if args.serial_timing:
         resolved["workers"] = 1
     out_dir = _out_dir(args)
+    # a marker left by an earlier failed run would outlive this run's report
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "FAILED"))
     try:
         protocol = resolved["protocol"]
         if protocol not in ("repeated-random", "leave-subjects-out"):

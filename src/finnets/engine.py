@@ -83,17 +83,39 @@ def split_indices(seed: int, n: int, val_fraction: float = VAL_FRACTION):
     return perm[n_val:], perm[:n_val]
 
 
+# One-entry memo of the last corpus's samples, keyed on (recipe digest,
+# n_signals): corpus_inputs and every corpus_targets call on one corpus
+# share a single generation pass. It holds length x 8 bytes per signal
+# (82 MB for the default 20k corpus). The entry is rebound as one tuple,
+# so a reader in another thread sees either the old or the new pair,
+# never a key with another corpus's samples.
+_last_corpus = (None, None)
+
+
+def corpus_samples(gen: sg.GenSpec, n_signals: int) -> np.ndarray:
+    """Samples of corpus indices 0..n_signals-1 as a read-only
+    (n_signals, length) array, generated once per corpus."""
+    global _last_corpus
+    key = (sg.gen_spec_digest(gen), n_signals)
+    memo_key, samples = _last_corpus
+    if memo_key == key:
+        return samples
+    samples = np.empty((n_signals, gen.length))
+    for i in range(n_signals):
+        samples[i] = sg.generate(gen, i).samples
+    samples.setflags(write=False)
+    _last_corpus = (key, samples)
+    return samples
+
+
 def corpus_inputs(gen: sg.GenSpec, n_signals: int) -> np.ndarray:
     """Flattened scalograms for corpus indices 0..n_signals-1.
 
     This is the expensive half of corpus construction and is independent
     of the imitated feature, so it can be computed once and shared.
     """
-    probe = sg.wavelet_transform(sg.generate(gen, 0))
-    inputs = np.empty((n_signals, probe.magnitudes.size))
-    for i in range(n_signals):
-        inputs[i] = sg.flatten_tf(sg.wavelet_transform(sg.generate(gen, i)))
-    return inputs
+    mags, _ = sg.scalograms(corpus_samples(gen, n_signals), gen.sample_rate)
+    return mags.reshape(n_signals, mags.shape[1] * mags.shape[2])
 
 
 def corpus_targets(
@@ -105,8 +127,8 @@ def corpus_targets(
     """Raw (unnormalized) oracle values for corpus indices 0..n_signals-1."""
     width = fe.feature_width(feature, config.n_mfcc)
     targets = np.empty((n_signals, width))
-    for i in range(n_signals):
-        targets[i] = fe.compute_feature(sg.generate(gen, i), feature, config)
+    for i, row in enumerate(corpus_samples(gen, n_signals)):
+        targets[i] = fe.compute_feature(fe.Signal(row, gen.sample_rate), feature, config)
     return targets
 
 
@@ -516,17 +538,24 @@ def reconstruction_report(
     and therefore matches training-time validation loss when evaluated on
     the pretraining validation corpus.
     """
-    preds = []
+    signals = list(test_signals)
     targets = []
-    for i, signal in enumerate(test_signals):
+    for i, signal in enumerate(signals):
         try:
             raw = fe.compute_feature(signal, artifact.feature, config)
         except Exception as exc:
             raise FeatureError(artifact.feature, f"signal {i}: {exc}") from exc
         targets.append(fe.normalize_feature(raw, artifact.norm_lo, artifact.norm_hi))
-        preds.append(nets.forward(artifact.net, sg.flatten_tf(sg.wavelet_transform(signal))))
-    preds = np.atleast_2d(np.asarray(preds))
     targets = np.atleast_2d(np.asarray(targets))
+    # one scalogram call per (length, sample rate); normally there is one
+    by_geometry = {}
+    for i, signal in enumerate(signals):
+        by_geometry.setdefault((len(signal), signal.sample_rate), []).append(i)
+    inputs = np.empty((len(signals), sg.DEFAULT_N_SCALES * sg.DEFAULT_N_FRAMES))
+    for (_, fs), rows in by_geometry.items():
+        mags, _ = sg.scalograms(np.stack([signals[i].samples for i in rows]), fs)
+        inputs[rows] = mags.reshape(len(rows), -1)
+    preds = np.atleast_2d(np.asarray([nets.forward(artifact.net, x) for x in inputs]))
 
     mse = float(np.mean((preds - targets) ** 2))
     abs_err = np.abs(np.clip(preds, 0.0, 1.0) - targets).mean(axis=1)

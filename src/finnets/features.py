@@ -12,6 +12,7 @@ over an equal-width amplitude histogram; degenerate inputs raise
 `DegenerateSignal` rather than returning NaN.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,12 +165,14 @@ def _mel_inv(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_filters: int, n_fft: int, sample_rate: float) -> np.ndarray:
     """Triangular mel filters over rfft bins, 0 to Nyquist.
 
     Filters are evaluated in continuous frequency (no bin snapping), so
     narrow filters at low FFT resolutions degrade gracefully to zero
-    weight instead of dividing by zero.
+    weight instead of dividing by zero. The bank is cached per argument
+    triple and returned read-only, since every caller shares it.
     """
     bin_hz = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     mel_points = _mel_inv(np.linspace(0.0, float(_mel(sample_rate / 2)), n_filters + 2))
@@ -184,6 +187,7 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: float) -> np.ndarray
             bank[j] = np.where(
                 (bin_hz > center) & (bin_hz <= right), falling, bank[j]
             )
+    bank.setflags(write=False)
     return bank
 
 

@@ -10,6 +10,7 @@ transform, mean-pooled to a fixed scales-by-frames grid.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,72 @@ def morlet_center_frequencies(
     return np.geomspace(f_max, f_min, n_scales)
 
 
+# Signals per FFT pass in `scalograms`: the windowed spectra of one pass
+# take chunk x n_scales x nfft complex values (4 MB at the default
+# geometry), so a fixed small chunk keeps the transient memory flat.
+_CHUNK = 8
+
+
+@functools.lru_cache(maxsize=8)
+def _morlet_bank(length, sample_rate, n_scales, n_frames, omega0, f_min):
+    """Center frequencies, Morlet window bank, nfft and frame bounds for
+    one scalogram geometry; the arrays are read-only because every call
+    with that geometry shares them."""
+    freqs = morlet_center_frequencies(sample_rate, n_scales, f_min)
+    nfft = 1 << int(np.ceil(np.log2(2 * length)))
+    omega = 2.0 * np.pi * np.fft.fftfreq(nfft)  # rad/sample
+    scales = omega0 / (2.0 * np.pi * freqs / sample_rate)
+    windows = np.where(
+        omega[None, :] > 0,
+        2.0 * np.exp(-0.5 * (scales[:, None] * omega[None, :] - omega0) ** 2),
+        0.0,
+    )
+    chunks = np.array_split(np.arange(length), n_frames)
+    bounds = tuple((int(c[0]), int(c[-1]) + 1) for c in chunks)
+    freqs.setflags(write=False)
+    windows.setflags(write=False)
+    return freqs, windows, nfft, bounds
+
+
+def scalograms(
+    samples: np.ndarray,
+    sample_rate: float,
+    n_scales: int = DEFAULT_N_SCALES,
+    n_frames: int = DEFAULT_N_FRAMES,
+    omega0: float = MORLET_OMEGA0,
+    f_min: float = CWT_F_MIN,
+):
+    """Complex Morlet scalograms of a batch of equal-length signals.
+
+    `samples` is (n_signals, length), all at `sample_rate`. Returns
+    (magnitudes, freqs): magnitudes is (n_signals, n_scales, n_frames)
+    and row i equals `wavelet_transform` of signal i bit for bit; freqs
+    are the descending center frequencies (read-only, shared by every
+    call with the same geometry). The window bank is built once per
+    geometry, and the FFTs run over the batch axis a few signals at a
+    time.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("samples must be (n_signals, length)")
+    n = x.shape[1]
+    if n < n_frames:
+        raise ValueError("signal shorter than the requested frame count")
+    freqs, windows, nfft, bounds = _morlet_bank(
+        n, float(sample_rate), n_scales, n_frames, float(omega0), float(f_min)
+    )
+    pooled = np.empty((x.shape[0], n_scales, n_frames))
+    for start in range(0, x.shape[0], _CHUNK):
+        spectra = np.fft.fft(x[start : start + _CHUNK], nfft, axis=-1)
+        coeffs = np.fft.ifft(spectra[:, None, :] * windows, axis=-1)[..., :n]
+        magnitudes = np.abs(coeffs)
+        for j, (a, b) in enumerate(bounds):
+            pooled[start : start + _CHUNK, :, j] = magnitudes[..., a:b].mean(axis=-1)
+    if not np.all(np.isfinite(pooled) & (pooled >= 0)):
+        raise ValueError("magnitudes must be finite and non-negative")
+    return pooled, freqs
+
+
 def wavelet_transform(
     signal: Signal,
     n_scales: int = DEFAULT_N_SCALES,
@@ -223,30 +290,13 @@ def wavelet_transform(
     magnitude 1. The signal is zero-padded to the next power of two at
     least twice its length to suppress circular wrap-around, and the
     magnitude time axis is mean-pooled into exactly `n_frames` contiguous
-    chunks.
+    chunks (the first `length % n_frames` one sample longer). This is a
+    one-row call of `scalograms`.
     """
-    x = signal.samples
-    n = x.size
-    if n < n_frames:
-        raise ValueError("signal shorter than the requested frame count")
-    freqs = morlet_center_frequencies(signal.sample_rate, n_scales, f_min)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    spectrum = np.fft.fft(x, nfft)
-    omega = 2.0 * np.pi * np.fft.fftfreq(nfft)  # rad/sample
-    omega_centers = 2.0 * np.pi * freqs / signal.sample_rate
-    scales = omega0 / omega_centers
-    windows = np.where(
-        omega[None, :] > 0,
-        2.0 * np.exp(-0.5 * (scales[:, None] * omega[None, :] - omega0) ** 2),
-        0.0,
+    magnitudes, freqs = scalograms(
+        signal.samples[None, :], signal.sample_rate, n_scales, n_frames, omega0, f_min
     )
-    coeffs = np.fft.ifft(spectrum[None, :] * windows, axis=1)[:, :n]
-    magnitudes = np.abs(coeffs)
-    pooled = np.stack(
-        [chunk.mean(axis=1) for chunk in np.array_split(magnitudes, n_frames, axis=1)],
-        axis=1,
-    )
-    return TFMap(pooled, freqs)
+    return TFMap(magnitudes[0], freqs)
 
 
 def flatten_tf(tf: TFMap) -> np.ndarray:

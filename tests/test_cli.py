@@ -140,6 +140,15 @@ def test_oracle_normalized_range(capsys):
     assert float(capsys.readouterr().out.split()[1]) == 0.0
 
 
+def test_oracle_range_with_negative_lower_bound(capsys):
+    code = main([
+        "oracle", "--feature", "kurtosis", "--demo", "noise",
+        "--normalized", "--range=-3:7.5",
+    ])
+    assert code == 0
+    assert 0.0 <= float(capsys.readouterr().out.split()[1]) <= 1.0
+
+
 def test_oracle_normalized_with_artifact(artifact_path, capsys):
     code = main([
         "oracle", "--feature", "entropy", "--demo", "noise",
@@ -275,6 +284,17 @@ def test_bench_loso_without_subjects_fails(tmp_path, capsys):
     ])
     assert code == 2
     assert (tmp_path / "FAILED").exists()
+    capsys.readouterr()
+
+
+def test_bench_success_clears_stale_failed_marker(tmp_path, capsys):
+    loso = BENCH_BASE + ["--protocol", "leave-subjects-out", "--models", "knn",
+                         "--out-dir", str(tmp_path)]
+    assert main(loso) == 2
+    assert (tmp_path / "FAILED").exists()
+    assert main(loso + ["--subjects", "3"]) == 0
+    assert not (tmp_path / "FAILED").exists()
+    assert (tmp_path / "runs.csv").exists()
     capsys.readouterr()
 
 

@@ -1,11 +1,14 @@
 """Pretraining, artifact persistence, head transfer, and ensembles."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from finnets import engine, nets
+from finnets import features as fe
 from finnets import signals as sg
 from finnets.errors import (
     CorpusDegenerateError,
@@ -62,6 +65,47 @@ def test_normalization_range_percentiles_and_degeneracy():
     assert hi[0] == pytest.approx(0.999)
     with pytest.raises(CorpusDegenerateError):
         engine.normalization_range(np.full((50, 1), 3.0))
+
+
+def test_corpus_memo_keys_on_recipe_and_size():
+    # same seed, different family mix: only the memo key tells them apart
+    mixed = sg.GenSpec(length=64, seed=17, family_weights={"white_noise": 0.5, "burst": 0.5})
+    for gen, n in ((TINY_GEN, 12), (mixed, 12), (TINY_GEN, 12), (TINY_GEN, 7)):
+        fresh = [sg.generate(gen, i) for i in range(n)]
+        want_inputs = np.array([sg.flatten_tf(sg.wavelet_transform(s)) for s in fresh])
+        want_targets = np.array([fe.compute_feature(s, "kurtosis") for s in fresh])
+        assert np.array_equal(engine.corpus_inputs(gen, n), want_inputs)
+        assert np.array_equal(engine.corpus_targets("kurtosis", gen, n), want_targets)
+
+
+def test_corpus_memo_under_threads():
+    specs = [sg.GenSpec(length=64, seed=s) for s in (1, 2)]
+    want = {g.seed: np.array([sg.generate(g, i).samples for i in range(5)]) for g in specs}
+    wrong = []
+
+    def worker(k):
+        for j in range(40):
+            gen = specs[(k + j) % 2]
+            if not np.array_equal(engine.corpus_samples(gen, 5), want[gen.seed]):
+                wrong.append(gen.seed)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_empty_corpus_keeps_its_width():
+    assert engine.corpus_inputs(TINY_GEN, 0).shape == (0, 1024)
+    assert engine.corpus_targets("mfcc", TINY_GEN, 0).shape == (0, 13)
 
 
 def test_pretrain_produces_valid_artifact(tiny_artifact):

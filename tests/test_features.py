@@ -323,6 +323,13 @@ def test_normalize_rejects_bad_ranges():
         fe.normalize_feature(np.ones(1), np.array([5.0]), np.array([1.0]))
 
 
+def test_mel_filterbank_is_shared_and_read_only():
+    bank = fe.mel_filterbank(fe.MFCC_N_FILTERS, 3, 128.0)
+    assert fe.mel_filterbank(fe.MFCC_N_FILTERS, 3, 128.0) is bank
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+
+
 def test_compute_feature_encodes_aperiodic_as_zero():
     x = rng_for(1, "aperiodic").standard_normal(512)
     out = fe.compute_feature(make_signal(x), "f0")

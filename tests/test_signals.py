@@ -123,6 +123,52 @@ def test_short_signal_rejected_by_transform():
         sg.wavelet_transform(Signal(np.ones(16) + np.arange(16), 128.0), n_frames=32)
 
 
+def _reference_transform(x, fs, n_frames):
+    """Per-signal loop transform, written as in the `wavelet_transform`
+    docstring, that the batched path must match bit for bit."""
+    n = x.size
+    freqs = sg.morlet_center_frequencies(fs)
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    omega = 2.0 * np.pi * np.fft.fftfreq(nfft)
+    scales = sg.MORLET_OMEGA0 / (2.0 * np.pi * freqs / fs)
+    windows = np.where(
+        omega[None, :] > 0,
+        2.0 * np.exp(-0.5 * (scales[:, None] * omega[None, :] - sg.MORLET_OMEGA0) ** 2),
+        0.0,
+    )
+    mags = np.abs(np.fft.ifft(np.fft.fft(x, nfft)[None, :] * windows, axis=1)[:, :n])
+    return np.stack([c.mean(axis=1) for c in np.array_split(mags, n_frames, axis=1)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "length, fs, n_frames",
+    [(512, 128.0, 32), (300, 100.0, 32), (512, 128.0, 512)],
+    ids=["default", "uneven-frames", "unpooled"],
+)
+def test_scalograms_match_per_signal_transform(length, fs, n_frames):
+    spec = sg.GenSpec(length=length, sample_rate=fs, seed=9)
+    signals = [sg.generate(spec, i) for i in range(19)]  # more than two FFT chunks
+    mags, freqs = sg.scalograms(np.stack([s.samples for s in signals]), fs, n_frames=n_frames)
+    assert mags.shape == (19, sg.DEFAULT_N_SCALES, n_frames)
+    for i, signal in enumerate(signals):
+        tf = sg.wavelet_transform(signal, n_frames=n_frames)
+        assert np.array_equal(mags[i], tf.magnitudes)
+        assert np.array_equal(mags[i], _reference_transform(signal.samples, fs, n_frames))
+    assert np.array_equal(freqs, tf.scales)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scalograms_reject_non_finite_rows(bad):
+    spec = sg.GenSpec(seed=4)
+    samples = np.stack([sg.generate(spec, i).samples for i in range(3)])
+    mags, _ = sg.scalograms(samples, spec.sample_rate)
+    assert np.all(np.isfinite(mags))
+    samples[1, 100] = bad
+    with pytest.raises(ValueError):
+        sg.scalograms(samples, spec.sample_rate)
+
+
 def test_flatten_is_row_major_copy():
     spec = sg.GenSpec(seed=1)
     tf = sg.wavelet_transform(sg.generate(spec, 3))
