@@ -215,18 +215,20 @@ def _fmt(x) -> str:
 
 
 def export_dataset_csv(data: LabeledDataset, path) -> None:
-    """One row per (item, channel); channels of an item are adjacent."""
+    """One row per (item, channel); channels of an item are adjacent.
+
+    Values are `%.17g`, one `%` call per row; no field ever needs quoting.
+    """
     header = ["item_id", "subject_id", "label", "channel"]
     header += [f"v{j}" for j in range(data.tf_dim)]
+    values = ",".join(["%.17g"] * data.tf_dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for i in range(data.n_items):
-            subject = "" if data.subject_ids is None else str(int(data.subject_ids[i]))
+            subject = "" if data.subject_ids is None else int(data.subject_ids[i])
             for c in range(data.n_channels):
-                row = [str(i), subject, str(int(data.labels[i])), str(c)]
-                row += [_fmt(v) for v in data.inputs[i, c]]
-                writer.writerow(row)
+                row = tuple(data.inputs[i, c].tolist())
+                fh.write(f"{i},{subject},{data.labels[i]},{c}," + values % row)
 
 
 def ingest_dataset_csv(path) -> LabeledDataset:
@@ -257,7 +259,7 @@ def ingest_dataset_csv(path) -> LabeledDataset:
             try:
                 label = int(label_s)
                 channel = int(channel_s)
-                values = np.array([float(v) for v in row[4:]])
+                values = np.array(list(map(float, row[4:])))
             except ValueError as exc:
                 raise IngestError(row_no, f"bad numeric field: {exc}") from None
             if label < 0:
@@ -438,22 +440,14 @@ def knn_classify(train_x, train_y, test_x, k: int):
     return out
 
 
-def linear_margin_classify(
-    train_x,
-    train_y,
-    test_x,
-    epochs: int = 200,
-    lr: float = 0.05,
-    reg: float = 1e-4,
-):
-    """One-vs-rest linear classifier trained on the hinge loss.
+def _linear_margin_train(train_x, train_y, epochs, lr, reg):
+    """One-vs-rest hinge-loss weights `(w[classes, d], b[classes])`.
 
     Full-batch subgradient descent with an L2 penalty on the weights
     (bias unpenalized); deterministic with no randomness at all.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.int64)
-    test_x = np.atleast_2d(np.asarray(test_x, dtype=np.float64))
     n, d = train_x.shape
     classes = int(train_y.max()) + 1
     w = np.zeros((classes, d))
@@ -465,8 +459,25 @@ def linear_margin_classify(
         coeff = np.where(viol, signs, 0.0)
         w -= lr * (reg * w - (coeff @ train_x) / n)
         b -= lr * (-coeff.sum(axis=1) / n)
-    scores = test_x @ w.T + b
+    return w, b
+
+
+def _linear_margin_predict(w, b, test_x):
+    scores = np.atleast_2d(np.asarray(test_x, dtype=np.float64)) @ w.T + b
     return np.argmax(scores, axis=1).astype(np.int64)
+
+
+def linear_margin_classify(
+    train_x,
+    train_y,
+    test_x,
+    epochs: int = 200,
+    lr: float = 0.05,
+    reg: float = 1e-4,
+):
+    """One-vs-rest linear classifier trained on the hinge loss."""
+    w, b = _linear_margin_train(train_x, train_y, epochs, lr, reg)
+    return _linear_margin_predict(w, b, test_x)
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +606,13 @@ class LinearMarginModel:
         self.reg = reg
 
     def fit(self, data, train_idx, val_idx, run_seed, cfg):
-        x = _flat_inputs(data)
-        train_x = x[train_idx].copy()
-        train_y = data.labels[train_idx].copy()
+        w, b = _linear_margin_train(
+            _flat_inputs(data)[train_idx], data.labels[train_idx],
+            self.epochs, self.lr, self.reg,
+        )
 
         def predict(d, idx):
-            return linear_margin_classify(
-                train_x, train_y, _flat_inputs(d)[idx],
-                epochs=self.epochs, lr=self.lr, reg=self.reg,
-            )
+            return _linear_margin_predict(w, b, _flat_inputs(d)[idx])
 
         return predict, None
 

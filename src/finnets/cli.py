@@ -130,6 +130,8 @@ def cmd_pretrain(args) -> int:
         raise CliError("--out is required")
     if resolved["signals"] < 100:
         raise CliError("--signals must be at least 100")
+    if resolved["recon_signals"] < 1:
+        raise CliError("--recon-signals must be at least 1")
     out_dir = _out_dir(args)
     artifact_path = args.out if os.path.isabs(args.out) else os.path.join(out_dir, args.out)
 

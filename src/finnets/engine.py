@@ -539,6 +539,8 @@ def reconstruction_report(
     the pretraining validation corpus.
     """
     signals = list(test_signals)
+    if not signals:
+        raise ValueError("reconstruction report needs at least one signal")
     targets = []
     for i, signal in enumerate(signals):
         try:

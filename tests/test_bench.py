@@ -1,5 +1,7 @@
 """Benchmark harness tests: splits, comparators, tasks, and the runner."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,34 @@ def test_linear_margin_separable_and_deterministic():
     assert float(np.mean(preds == y)) == 1.0
     again = bench.linear_margin_classify(x, y, x)
     assert np.array_equal(preds, again)
+
+
+def test_linear_margin_model_trains_in_fit(monkeypatch):
+    data = toy_dataset(n_items=40, n_channels=2, tf_dim=4)
+    train_idx, test_idx = np.arange(30), np.arange(30, 40)
+    calls = []
+    trainer = bench._linear_margin_train
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return trainer(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "_linear_margin_train", counting)
+    predict, history = bench.LinearMarginModel(epochs=50).fit(data, train_idx, None, 0, None)
+    assert history is None
+    assert len(calls) == 1
+    preds = predict(data, test_idx)
+    again = predict(data, train_idx)
+    assert len(calls) == 1  # the predictor only scores
+    flat = data.inputs.reshape(data.n_items, -1)
+    assert np.array_equal(
+        preds, bench.linear_margin_classify(flat[train_idx], data.labels[train_idx],
+                                            flat[test_idx], epochs=50)
+    )
+    assert np.array_equal(
+        again, bench.linear_margin_classify(flat[train_idx], data.labels[train_idx],
+                                            flat[train_idx], epochs=50)
+    )
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -617,6 +647,49 @@ def test_export_ingest_roundtrip(tmp_path):
             assert back.subject_ids is None
         else:
             assert np.array_equal(back.subject_ids, data.subject_ids)
+
+
+def reference_export(data, path):
+    """The schema written field by field through `csv.writer`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["item_id", "subject_id", "label", "channel"]
+                        + [f"v{j}" for j in range(data.tf_dim)])
+        for i in range(data.n_items):
+            subject = "" if data.subject_ids is None else str(int(data.subject_ids[i]))
+            for c in range(data.n_channels):
+                writer.writerow([str(i), subject, str(int(data.labels[i])), str(c)]
+                                + ["%.17g" % float(v) for v in data.inputs[i, c]])
+
+
+def test_export_bytes_match_field_by_field_writer(tmp_path):
+    special = [-0.0, 5e-324, 1e-300, 1e300, -2.5, -1e-7, np.inf, -np.inf, np.nan]
+    for n_subjects, n_channels in ((None, 1), (3, 1), (None, 3), (4, 3)):
+        data = toy_dataset(n_items=9, n_channels=n_channels, tf_dim=len(special),
+                           n_subjects=n_subjects)
+        data.inputs[0, 0] = special
+        data.inputs[1, -1] = special[::-1]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        bench.export_dataset_csv(data, got)
+        reference_export(data, want)
+        assert got.read_bytes() == want.read_bytes()
+        back = bench.ingest_dataset_csv(got)
+        assert np.array_equal(back.inputs, data.inputs, equal_nan=True)
+        assert np.array_equal(np.signbit(back.inputs), np.signbit(data.inputs))  # -0.0
+
+
+def test_ingest_reads_quoted_fields(tmp_path):
+    rows = [("0", "0", "1.5", "2"), ("1", "1", "-3", "4e-5"),
+            ("2", "0", "0", "-0"), ("3", "1", "1e300", "7")]
+    plain = write_csv(tmp_path, "plain.csv", HEADER + "".join(
+        f"{i},,{y},0,{a},{b}\n" for i, y, a, b in rows))
+    quoted = write_csv(tmp_path, "quoted.csv", HEADER + "".join(
+        f'"{i}","","{y}","0","{a}","{b}"\n' for i, y, a, b in rows))
+    a, b = bench.ingest_dataset_csv(plain), bench.ingest_dataset_csv(quoted)
+    assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a.labels, b.labels)
+    assert a.subject_ids is None and b.subject_ids is None
+    assert np.array_equal(b.inputs[:, 0, :], [[1.5, 2.0], [-3.0, 4e-5], [0.0, -0.0], [1e300, 7.0]])
 
 
 def write_csv(tmp_path, name, text):

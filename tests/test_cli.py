@@ -79,6 +79,22 @@ def test_pretrain_validation(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_pretrain_rejects_empty_reconstruction(tmp_path, capsys):
+    base = [
+        "pretrain", "--feature", "entropy", "--signals", "100",
+        "--max-epochs", "1", "--patience", "1", "--out", "x.fin",
+    ]
+    # rejected before pretraining: no artifact, no report
+    assert main(base + ["--recon-signals", "0", "--out-dir", str(tmp_path / "zero")]) == 2
+    assert "--recon-signals" in capsys.readouterr().err
+    assert not (tmp_path / "zero" / "x.fin").exists()
+    assert main(base + ["--recon-signals", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    out = capsys.readouterr().out
+    hist = read_rows(tmp_path / "one" / "recon_hist.csv")
+    assert sum(int(row[2]) for row in hist[1:]) == 1
+    assert "nan" not in out
+
+
 # ---------------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_reconstruction_mse_matches_training_val_loss(tiny_artifact):
     assert report.histogram_counts.sum() == report.n_signals
 
 
+def test_reconstruction_report_rejects_no_signals(tiny_artifact):
+    with pytest.raises(ValueError):
+        engine.reconstruction_report(tiny_artifact, [])
+    with pytest.raises(ValueError):
+        engine.reconstruction_report(tiny_artifact, iter(()))
+    one = engine.reconstruction_report(tiny_artifact, [sg.generate(TINY_GEN, 300)])
+    assert one.n_signals == 1
+    assert np.isfinite(one.mean_abs_error) and one.histogram_counts.sum() == 1
+
+
 def test_reconstruction_names_the_failing_feature_and_signal():
     art = fake_artifact("kurtosis", 1, 7, in_dim=TINY_TOPOLOGY.input_dim)
     good = sg.generate(TINY_GEN, 0)
