@@ -67,15 +67,45 @@ def _merge_config(args, parser_defaults: dict) -> dict:
             raise CliError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(parser_defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
+        for key, value in file_cfg.items():
+            resolved[key] = _config_value(
+                key, value, args.flag_types.get(key), parser_defaults[key]
+            )
     for key in parser_defaults:
         flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
     return resolved
+
+
+def _config_value(key: str, value, convert, default):
+    """A config-file value checked with its flag's `type=` converter.
+
+    The value must come back from the converter equal to itself, so "500"
+    is not an int, 2.5 is not an int and 3 is the float 3.0; bools are
+    never numbers, and null is accepted only where the default is None.
+    """
+    if convert is None or (value is None and default is None):
+        return value
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if isinstance(value, bool) or converted is None or converted != value:
+        raise CliError(
+            f"config key {key!r} must be {convert.__name__}, got {value!r}"
+        )
+    return converted
+
+
+def _flag_types(parser: argparse.ArgumentParser) -> dict:
+    """Config key -> `type=` converter of each typed flag of a subcommand."""
+    return {a.dest: a.type for a in parser._actions if a.type is not None}
 
 
 def _echo_config(resolved: dict, out_dir: str, command: str) -> None:
@@ -488,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="artifact filename")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_pretrain)
+    p.set_defaults(func=cmd_pretrain, flag_types=_flag_types(p))
 
     p = sub.add_parser("inspect", help="summarize a saved artifact")
     p.add_argument("path")
@@ -515,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_flags(p)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, flag_types=_flag_types(p))
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--nets", type=int)

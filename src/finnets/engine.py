@@ -196,6 +196,7 @@ def pretrain_fin(
     targets = fe.normalize_feature(raw_targets, lo, hi)
 
     net = nets.init_random(topology, derive_seed(cfg.seed, "pretrain-init"))
+    inputs = np.asarray(inputs, dtype=nets.DTYPE)
     trained, history = nets.train(
         net,
         (inputs[train_idx], targets[train_idx]),
@@ -292,7 +293,7 @@ def load_fin(path) -> FinArtifact:
         raise CorruptArtifact(
             f"weight payload holds {len(payload)} bytes, expected {4 * expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(payload, dtype="<f4")
     weights, biases, cursor = [], [], 0
     for i in range(len(sizes) - 1):
         o, n = sizes[i + 1], sizes[i]
@@ -345,7 +346,8 @@ class EnsembleNet:
     channel; branch outputs are concatenated branch-major then
     channel-major, and the head maps that vector to class probabilities.
     Branches share weights across channels, so fine-tuning accumulates
-    their gradients over all channels.
+    their gradients over all channels. The head is stored as `nets.DTYPE`,
+    like the branches.
     """
 
     branches: list
@@ -355,6 +357,8 @@ class EnsembleNet:
     class_count: int
 
     def __post_init__(self):
+        self.head_w = np.asarray(self.head_w, dtype=nets.DTYPE)
+        self.head_b = np.asarray(self.head_b, dtype=nets.DTYPE)
         if not self.branches:
             raise ValueError("ensemble needs at least one branch")
         if self.n_channels < 1:
@@ -395,7 +399,7 @@ class EnsembleNet:
         )
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.head_w.dtype)
         if x.ndim == 2:
             x = x[None, :, :]
         if x.ndim != 3 or x.shape[1] != self.n_channels or x.shape[2] != self.input_dim:
@@ -429,7 +433,7 @@ class EnsembleNet:
 
     def loss_and_grads(self, x: np.ndarray, targets: np.ndarray):
         x = self._check_input(x)
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        targets = np.atleast_2d(np.asarray(targets, dtype=self.head_w.dtype))
         batch = x.shape[0]
         concat, caches = self._forward_cached(x)
         logits = concat @ self.head_w.T + self.head_b
@@ -557,7 +561,7 @@ def reconstruction_report(
     for (_, fs), rows in by_geometry.items():
         mags, _ = sg.scalograms(np.stack([signals[i].samples for i in rows]), fs)
         inputs[rows] = mags.reshape(len(rows), -1)
-    preds = np.atleast_2d(np.asarray([nets.forward(artifact.net, x) for x in inputs]))
+    preds = nets.forward(artifact.net, inputs)
 
     mse = float(np.mean((preds - targets) ** 2))
     abs_err = np.abs(np.clip(preds, 0.0, 1.0) - targets).mean(axis=1)

@@ -2,15 +2,23 @@
 
 Plain feedforward networks trained with mini-batch gradient descent plus
 momentum and early stopping — nothing more, because the imitating networks
-are deliberately small and simple. Everything runs in float64 so analytic
-gradients can be verified against central finite differences; parameters
-are only narrowed to float32 at serialization time.
+are deliberately small and simple.
+
+Networks train and infer in float32 (`DTYPE`), the dtype `.fin` stores,
+so a saved and reloaded net is the trained one exactly. Arrays cross into
+float32 once: `DenseNet` casts its parameters on construction, `fit`
+casts its training arrays once per run, and `forward_stack` (under
+`forward`) and `backprop` cast their inputs, a no-op for arrays already
+in float32. Losses come back as Python floats. `finite_difference_check`
+runs on a float64 copy of the model, because central differences need
+the precision.
 
 The training loop is generic over a small model protocol (`parameters`,
 `loss_and_grads`, `eval_loss`) so the per-channel ensemble networks train
 through the same code path as plain dense networks.
 """
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +29,7 @@ from .rng import rng_for
 
 ACTIVATIONS = ("relu", "tanh", "linear", "softmax")
 LOSSES = ("mse", "softmax_ce")
+DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -62,13 +71,18 @@ def count_params(topology: Topology) -> int:
 
 @dataclass
 class DenseNet:
-    """A stack of affine layers; weights are (out, in), biases (out,)."""
+    """A stack of affine layers; weights are (out, in), biases (out,).
+
+    Parameters are stored as `DTYPE`; arrays of another dtype are cast.
+    """
 
     topology: Topology
     weights: list
     biases: list
 
     def __post_init__(self):
+        self.weights = [np.asarray(w, dtype=DTYPE) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=DTYPE) for b in self.biases]
         sizes = self.topology.layer_sizes
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ShapeError("layer count mismatch")
@@ -142,10 +156,11 @@ def forward_stack(weights, biases, activations, batch: np.ndarray):
     """Forward pass through a raw layer stack; returns (pre, post) caches.
 
     `post[0]` is the input batch, `post[-1]` the output; `pre[k]` is the
-    pre-activation feeding layer k's activation.
+    pre-activation feeding layer k's activation. The layers compute in the
+    parameters' dtype whatever the batch's dtype.
     """
     pre, post = [], [batch]
-    a = batch
+    a = np.asarray(batch, dtype=weights[0].dtype)
     for w, b, tag in zip(weights, biases, activations):
         z = a @ w.T + b
         a = _apply_activation(tag, z)
@@ -179,7 +194,7 @@ def forward(net: DenseNet, x: np.ndarray, want_cache: bool = False):
     Returns the output, or (output, cache) when `want_cache` is set; the
     cache holds per-layer pre-activations and activations for backprop.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.ndim != 2 or batch.shape[1] != net.topology.input_dim:
@@ -218,8 +233,9 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, loss: str):
     final layer and one-hot targets; mse requires an elementwise final
     activation.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    dtype = net.weights[0].dtype
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=dtype))
+    targets = np.atleast_2d(np.asarray(targets, dtype=dtype))
     if targets.shape[0] != inputs.shape[0]:
         raise ShapeError("batch size mismatch between inputs and targets")
     if targets.shape[1] != net.topology.output_dim:
@@ -245,10 +261,14 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, loss: str):
 
 
 def sgd_update(params: list, grads: list, velocity: list, lr: float, momentum: float):
-    """In-place momentum step: v <- momentum*v - lr*g; p <- p + v."""
+    """In-place momentum step: v <- momentum*v - lr*g; p <- p + v.
+
+    The gradients are consumed: each is scaled by `lr` in place.
+    """
     for p, g, v in zip(params, grads, velocity):
+        g *= lr
         v *= momentum
-        v -= lr * g
+        v -= g
         p += v
 
 
@@ -319,7 +339,7 @@ class DenseModel:
 
 def _forward_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass stopping before a final softmax."""
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    a = np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype))
     for w, b, tag in zip(net.weights, net.biases, net.topology.activations):
         z = a @ w.T + b
         a = z if tag == "softmax" else _apply_activation(tag, z)
@@ -333,14 +353,19 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
     tracks validation loss after every epoch, and restores the parameters
     of the best validation epoch before returning. Raises `DivergedError`
     on a non-finite training or validation loss.
+
+    Inputs and training targets are cast once to the parameters' dtype.
+    Validation targets are kept as given, so the validation loss is
+    measured against them exactly.
     """
-    train_x, train_t = train_xy
-    val_x, val_t = val_xy
+    params = model.parameters()
+    dtype = params[0].dtype
+    train_x, train_t = (np.asarray(a, dtype=dtype) for a in train_xy)
+    val_x, val_t = np.asarray(val_xy[0], dtype=dtype), val_xy[1]
     n = len(train_x)
     if n == 0 or len(val_x) == 0:
         raise ValueError("training and validation sets must be non-empty")
 
-    params = model.parameters()
     velocity = zero_velocity(params)
     history = TrainHistory()
     best_val = np.inf
@@ -416,11 +441,13 @@ def finite_difference_check(
     """Max relative error between backprop and central finite differences.
 
     `model` follows the training protocol (`parameters`, `loss_and_grads`,
-    `eval_loss`), so dense and ensemble networks are checked alike. With
+    `eval_loss`), so dense and ensemble networks are checked alike. The
+    check runs on a float64 copy of `model`, which is left untouched. With
     `corrupt` set, the largest entry of the first analytic gradient is
     perturbed before comparison; this negative control must make the
     check fail.
     """
+    model = _float64_copy(model)
     _, analytic = model.loss_and_grads(inputs, targets)
     if corrupt:
         first = analytic[0]
@@ -442,6 +469,17 @@ def finite_difference_check(
             rel = abs(flat_g[i] - numeric) / max(abs(flat_g[i]), abs(numeric), 1e-8)
             max_rel = max(max_rel, rel)
     return max_rel
+
+
+def _float64_copy(model):
+    """Deep copy of a training-protocol model with float64 parameters.
+
+    Every parameter array is pre-seeded in deepcopy's memo with its
+    float64 copy, so this works for any model structure. deepcopy does not
+    rerun constructors, so `DenseNet`'s cast to `DTYPE` does not apply.
+    """
+    memo = {id(p): p.astype(np.float64) for p in model.parameters()}
+    return copy.deepcopy(model, memo)
 
 
 def _gradcheck_case(rng: np.random.Generator):

@@ -2,8 +2,8 @@
 
 Ten criteria, one test each, run against full-size feature networks
 pretrained inside the session fixtures (the 20k-signal pretrains and
-criterion 7 dominate the runtime; the module took 13.5 min on two Xeon
-cores with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31).
+criterion 7 dominate the runtime; the module took about 7 min on two
+Xeon cores with Python 3.11, numpy 2.4 and OpenBLAS 0.3.31).
 Every test prints a `[criterion N] PASS/FAIL` line with the measured
 numbers; run with `-s` (or read failure output) to see them.
 """

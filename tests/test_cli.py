@@ -424,6 +424,41 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_values_are_typed_like_their_flags(tmp_path, capsys):
+    base = ["pretrain", "--feature", "entropy", "--max-epochs", "1",
+            "--patience", "1", "--out", "x.fin"]
+
+    def run(name, doc):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(base + ["--config", str(cfg), "--out-dir", str(tmp_path / name)])
+        return code, capsys.readouterr()
+
+    wrong = {
+        "str_signals": {"signals": "500"},
+        "str_recon": {"recon_signals": "5"},
+        "bool_signals": {"signals": True},
+        "fractional_signals": {"signals": 150.5},
+        "str_rate": {"learning_rate": "0.01"},
+        "huge_rate": {"learning_rate": 10 ** 400},
+        "null_seed": {"seed": None},
+        "list_doc": ["signals"],
+    }
+    for name, doc in wrong.items():
+        code, out = run(name, doc)
+        assert code == EXIT_CONFIG, (name, out.err)
+        assert "error:" in out.err and "Traceback" not in out.err
+        if isinstance(doc, dict):
+            assert f"config key {next(iter(doc))!r}" in out.err
+        assert not (tmp_path / name / "x.fin").exists()
+    # positive control: numbers of the flag's type, an int for a float flag
+    code, out = run("typed", {"signals": 100, "recon_signals": 2, "momentum": 0})
+    assert code == 0, out.err
+    echoed = json.loads((tmp_path / "typed" / "config.json").read_text())
+    assert (echoed["signals"], echoed["recon_signals"]) == (100, 2)
+    assert echoed["momentum"] == 0.0 and isinstance(echoed["momentum"], float)
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FIN_OUT_DIR", str(tmp_path))
     code = main(BENCH_BASE + ["--repeats", "2", "--models", "knn"])

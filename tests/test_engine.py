@@ -210,16 +210,46 @@ def test_save_load_resave_byte_identical(tiny_artifact, tmp_path):
     np.testing.assert_array_equal(loaded.norm_lo, tiny_artifact.norm_lo)
 
 
-def test_loaded_weights_are_f32_rounded(tiny_artifact, tmp_path):
+def test_loaded_fin_is_the_trained_net(tiny_artifact, tmp_path):
     path = tmp_path / "a.fin"
     engine.save_fin(tiny_artifact, path)
     loaded = engine.load_fin(path)
-    for orig, back in zip(
+    for trained, back in zip(
         tiny_artifact.net.parameters(), loaded.net.parameters()
     ):
-        np.testing.assert_array_equal(
-            back, orig.astype(np.float32).astype(np.float64)
-        )
+        np.testing.assert_array_equal(back, trained)
+        assert back.dtype == np.float32
+    batch = engine.corpus_inputs(TINY_GEN, 40)
+    np.testing.assert_array_equal(
+        nets.forward(loaded.net, batch), nets.forward(tiny_artifact.net, batch)
+    )
+
+
+def test_transfer_paths_keep_float32(tiny_artifact, tmp_path):
+    def all_f32(model):
+        return all(p.dtype == np.float32 for p in model.parameters())
+
+    path = tmp_path / "a.fin"
+    engine.save_fin(tiny_artifact, path)
+    loaded = engine.load_fin(path)
+    head = engine.attach_head(loaded, 2, seed=1)
+    ens = engine.build_ensemble([loaded], n_channels=2, n_classes=2, seed=1)
+    assert all_f32(tiny_artifact.net) and all_f32(loaded.net)
+    assert all_f32(head) and all_f32(ens)
+    # float64 inputs and integer labels (one-hot float64 targets inside)
+    x = rng_for(8, "dtype").standard_normal((24, 2, 1024))
+    labels = np.arange(24) % 2
+    cfg = nets.TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=0)
+    dense, _ = engine.fine_tune(
+        head, (x[:16, 0], labels[:16]), (x[16:, 0], labels[16:]), cfg
+    )
+    joint, _ = engine.fine_tune(ens, (x[:16], labels[:16]), (x[16:], labels[16:]), cfg)
+    assert all_f32(dense) and all_f32(joint)
+    assert nets.forward(dense, x[:, 0]).dtype == np.float32
+    assert joint.forward(x).dtype == np.float32
+    value, grads = joint.loss_and_grads(x[:4], nets.one_hot(labels[:4], 2))
+    assert isinstance(value, float)
+    assert all(g.dtype == np.float32 for g in grads)
 
 
 def test_truncated_file_is_corrupt(tiny_artifact, tmp_path):

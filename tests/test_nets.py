@@ -109,6 +109,37 @@ def test_backprop_shape_errors():
         nets.backprop(ce_net, x, np.ones((3, 2)), "softmax_ce")
 
 
+def test_training_stays_float32_on_float64_data():
+    rng = rng_for(12, "dtype")
+    x = rng.standard_normal((40, 3))
+    y = rng.standard_normal((40, 2))
+    net = nets.init_random(tiny_topology(), 3)
+    assert all(p.dtype == np.float32 for p in net.parameters())
+    cfg = nets.TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
+    best, hist = nets.train(net, (x[:32], y[:32]), (x[32:], y[32:]), cfg, "mse")
+    assert all(p.dtype == np.float32 for p in best.parameters())
+    assert nets.forward(best, x).dtype == np.float32
+    assert all(type(v) is float for v in hist.train_losses + hist.val_losses)
+    ce_net = nets.init_random(nets.Topology((3, 4, 2), ("tanh", "softmax")), 1)
+    targets = nets.one_hot(rng.integers(0, 2, size=8), 2)
+    value, grads = nets.DenseModel(ce_net, "softmax_ce").loss_and_grads(x[:8], targets)
+    assert type(value) is float
+    assert all(g.dtype == np.float32 for g in grads)
+
+
+def test_gradcheck_runs_on_a_float64_copy():
+    net = nets.init_random(nets.Topology((3, 5, 2), ("tanh", "linear")), 7)
+    before = [p.copy() for p in net.parameters()]
+    rng = rng_for(5, "copy")
+    model = nets.DenseModel(net, "mse")
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+    # float32 central differences at h=1e-5 would miss this by orders
+    assert nets.finite_difference_check(model, x, y) < 1e-6
+    for b, p in zip(before, net.parameters()):
+        assert p.dtype == np.float32
+        np.testing.assert_array_equal(p, b)
+
+
 def test_gradcheck_suite_passes_and_control_fails():
     assert nets.gradcheck_suite(n_nets=20, seed=2024) <= 1e-4
     rng = rng_for(9, "corrupt")
@@ -125,7 +156,8 @@ def test_sgd_recurrence_by_hand():
     g = np.array([0.5])
     nets.sgd_update([p], [g], [v], lr=0.1, momentum=0.9)
     assert p[0] == pytest.approx(0.95, abs=1e-12)
-    nets.sgd_update([p], [g], [v], lr=0.1, momentum=0.9)
+    assert g[0] == pytest.approx(0.05, abs=1e-12)  # consumed: scaled by lr
+    nets.sgd_update([p], [np.array([0.5])], [v], lr=0.1, momentum=0.9)
     # v2 = 0.9*(-0.05) - 0.05 = -0.095
     assert p[0] == pytest.approx(0.855, abs=1e-12)
 
