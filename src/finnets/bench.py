@@ -91,20 +91,20 @@ class LabeledDataset:
         return self.inputs.shape[2]
 
 
-def _channel_mean_feature(signal_rows, feature, config):
-    """Mean oracle value over channels and feature components."""
-    vals = [fe.compute_feature(s, feature, config).mean() for s in signal_rows]
-    return float(np.mean(vals))
+def _channel_mean_feature(samples, gen, n_channels, feature, config):
+    """Per-item oracle value, averaged over feature components and then
+    over the item's channels."""
+    values = fe.compute_features(samples, gen.sample_rate, feature, config)
+    return values.mean(axis=1).reshape(-1, n_channels).mean(axis=1)
 
 
 def _materialize_items(gen, n_items, n_channels):
-    """Signals and flattened scalograms for an item grid; signal
+    """Samples and flattened scalograms for an item grid; signal
     i * n_channels + c feeds channel c of item i."""
     samples = en.corpus_samples(gen, n_items * n_channels)
     mags, _ = sg.scalograms(samples, gen.sample_rate)
     inputs = mags.reshape(n_items, n_channels, mags.shape[1] * mags.shape[2])
-    signals = [fe.Signal(row, gen.sample_rate) for row in samples]
-    return inputs, [signals[i * n_channels : (i + 1) * n_channels] for i in range(n_items)]
+    return inputs, samples
 
 
 def _threshold_labels(scores, rho, seed):
@@ -135,10 +135,8 @@ def make_feature_threshold_task(
         raise ValueError("label noise must lie in [0, 0.5)")
     if gen is None:
         gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", feature))
-    inputs, signals = _materialize_items(gen, n_items, n_channels)
-    scores = np.array(
-        [_channel_mean_feature(row, feature, config) for row in signals]
-    )
+    inputs, samples = _materialize_items(gen, n_items, n_channels)
+    scores = _channel_mean_feature(samples, gen, n_channels, feature, config)
     labels, thresh = _threshold_labels(scores, rho, seed)
     subjects = np.arange(n_items) % n_subjects if n_subjects else None
     return LabeledDataset(
@@ -175,13 +173,13 @@ def make_multi_feature_task(
         raise ValueError("label noise must lie in [0, 0.5)")
     if gen is None:
         gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", *features))
-    inputs, signals = _materialize_items(gen, n_items, n_channels)
+    inputs, samples = _materialize_items(gen, n_items, n_channels)
 
     rng = rng_for(seed, "rule")
     weights = {}
     combined = np.zeros(n_items)
     for name in features:
-        raw = np.array([_channel_mean_feature(row, name, config) for row in signals])
+        raw = _channel_mean_feature(samples, gen, n_channels, name, config)
         std = raw.std()
         if std < 1e-12:
             raise CorpusDegenerateError(f"feature {name} is constant on this corpus")

@@ -57,7 +57,11 @@ def _out_dir(args) -> str:
 
 
 def _merge_config(args, parser_defaults: dict) -> dict:
-    """Apply flags > config file > defaults and return the resolved dict."""
+    """Apply flags > config file > defaults and return the resolved dict.
+
+    The config file may be a `config.json` this command echoed: its
+    `command` key must then name the running subcommand.
+    """
     resolved = dict(parser_defaults)
     if getattr(args, "config", None):
         try:
@@ -69,6 +73,9 @@ def _merge_config(args, parser_defaults: dict) -> dict:
             raise CliError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise CliError("config file must hold a JSON object")
+        command = file_cfg.pop("command", args.command)
+        if command != args.command:
+            raise CliError(f"config file is for {command!r}, not {args.command!r}")
         unknown = set(file_cfg) - set(parser_defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -247,6 +254,21 @@ _BENCH_DEFAULTS = {
 }
 
 
+def _fractions(value) -> tuple:
+    """`--fractions` as its comma-separated flag text, or as the JSON list
+    of numbers that `config.json` echoes."""
+    if isinstance(value, list):
+        if not all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in value):
+            raise CliError(f"config key 'fractions' must list numbers, got {value!r}")
+        return tuple(float(f) for f in value)
+    if not value:
+        return ()
+    try:
+        return tuple(float(f) for f in str(value).split(",") if f)
+    except ValueError as exc:
+        raise CliError(f"bad --fractions: {exc}") from exc
+
+
 def _parse_task(resolved: dict) -> B.LabeledDataset:
     task = resolved["task"]
     if task is None:
@@ -334,15 +356,7 @@ def cmd_bench(args) -> int:
         protocol = resolved["protocol"]
         if protocol not in ("repeated-random", "leave-subjects-out"):
             raise CliError("--protocol must be repeated-random or leave-subjects-out")
-        fractions = ()
-        if resolved["fractions"]:
-            try:
-                fractions = tuple(
-                    float(f) for f in str(resolved["fractions"]).split(",") if f
-                )
-            except ValueError as exc:
-                raise CliError(f"bad --fractions: {exc}") from exc
-
+        fractions = _fractions(resolved["fractions"])
         seed = int(resolved["seed"])
         data = _parse_task(resolved)
         cfg = _train_config(resolved, seed)

@@ -125,11 +125,9 @@ def corpus_targets(
     config: fe.FeatureConfig = fe.FeatureConfig(),
 ) -> np.ndarray:
     """Raw (unnormalized) oracle values for corpus indices 0..n_signals-1."""
-    width = fe.feature_width(feature, config.n_mfcc)
-    targets = np.empty((n_signals, width))
-    for i, row in enumerate(corpus_samples(gen, n_signals)):
-        targets[i] = fe.compute_feature(fe.Signal(row, gen.sample_rate), feature, config)
-    return targets
+    return fe.compute_features(
+        corpus_samples(gen, n_signals), gen.sample_rate, feature, config
+    )
 
 
 def build_pretraining_corpus(
@@ -545,22 +543,25 @@ def reconstruction_report(
     signals = list(test_signals)
     if not signals:
         raise ValueError("reconstruction report needs at least one signal")
-    targets = []
-    for i, signal in enumerate(signals):
-        try:
-            raw = fe.compute_feature(signal, artifact.feature, config)
-        except Exception as exc:
-            raise FeatureError(artifact.feature, f"signal {i}: {exc}") from exc
-        targets.append(fe.normalize_feature(raw, artifact.norm_lo, artifact.norm_hi))
-    targets = np.atleast_2d(np.asarray(targets))
-    # one scalogram call per (length, sample rate); normally there is one
+    # one oracle and one scalogram call per (length, sample rate); normally
+    # there is one
     by_geometry = {}
     for i, signal in enumerate(signals):
         by_geometry.setdefault((len(signal), signal.sample_rate), []).append(i)
+    raw = np.empty((len(signals), fe.feature_width(artifact.feature, config.n_mfcc)))
     inputs = np.empty((len(signals), sg.DEFAULT_N_SCALES * sg.DEFAULT_N_FRAMES))
     for (_, fs), rows in by_geometry.items():
-        mags, _ = sg.scalograms(np.stack([signals[i].samples for i in rows]), fs)
+        samples = np.stack([signals[i].samples for i in rows])
+        try:
+            raw[rows] = fe.compute_features(samples, fs, artifact.feature, config)
+        except Exception as exc:
+            # a degenerate row is named; any other failure fails every row
+            i = rows[getattr(exc, "row", None) or 0]
+            reason = getattr(exc, "reason", exc)
+            raise FeatureError(artifact.feature, f"signal {i}: {reason}") from exc
+        mags, _ = sg.scalograms(samples, fs)
         inputs[rows] = mags.reshape(len(rows), -1)
+    targets = fe.normalize_feature(raw, artifact.norm_lo, artifact.norm_hi)
     preds = nets.forward(artifact.net, inputs)
 
     mse = float(np.mean((preds - targets) ** 2))

@@ -6,7 +6,16 @@ cannot silently poison training targets or benchmark statistics.
 
 
 class DegenerateSignal(ValueError):
-    """Signal has no usable variation (e.g. zero variance, all-zero power)."""
+    """Signal has no usable variation (e.g. zero variance, all-zero power).
+
+    A batched oracle names the offending row of its batch in `row` and in
+    the message; `reason` is the message without it.
+    """
+
+    def __init__(self, reason: str, row: int = None):
+        self.reason = reason
+        self.row = row
+        super().__init__(reason if row is None else f"row {row}: {reason}")
 
 
 class ShapeError(ValueError):

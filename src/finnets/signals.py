@@ -208,17 +208,19 @@ def morlet_center_frequencies(
     return np.geomspace(f_max, f_min, n_scales)
 
 
-# Signals per FFT pass in `scalograms`: the windowed spectra of one pass
-# take chunk x n_scales x nfft complex values (4 MB at the default
-# geometry), so a fixed small chunk keeps the transient memory flat.
+# Signals per FFT pass in `scalograms`. One pass holds the windowed
+# spectra in a reused chunk x n_scales x nfft complex buffer (4 MB at the
+# default geometry) plus the inverse FFT's output of the same size, so the
+# transient memory is about 8 MB whatever the corpus size.
 _CHUNK = 8
 
 
 @functools.lru_cache(maxsize=8)
 def _morlet_bank(length, sample_rate, n_scales, n_frames, omega0, f_min):
-    """Center frequencies, Morlet window bank, nfft and frame bounds for
-    one scalogram geometry; the arrays are read-only because every call
-    with that geometry shares them."""
+    """Center frequencies, Morlet window bank and nfft for one scalogram
+    geometry. The bank is stored complex, as the spectra it multiplies,
+    so no pass casts it again; both arrays are read-only because every
+    call with that geometry shares them."""
     freqs = morlet_center_frequencies(sample_rate, n_scales, f_min)
     nfft = 1 << int(np.ceil(np.log2(2 * length)))
     omega = 2.0 * np.pi * np.fft.fftfreq(nfft)  # rad/sample
@@ -227,12 +229,10 @@ def _morlet_bank(length, sample_rate, n_scales, n_frames, omega0, f_min):
         omega[None, :] > 0,
         2.0 * np.exp(-0.5 * (scales[:, None] * omega[None, :] - omega0) ** 2),
         0.0,
-    )
-    chunks = np.array_split(np.arange(length), n_frames)
-    bounds = tuple((int(c[0]), int(c[-1]) + 1) for c in chunks)
+    ).astype(np.complex128)
     freqs.setflags(write=False)
     windows.setflags(write=False)
-    return freqs, windows, nfft, bounds
+    return freqs, windows, nfft
 
 
 def scalograms(
@@ -251,7 +251,9 @@ def scalograms(
     are the descending center frequencies (read-only, shared by every
     call with the same geometry). The window bank is built once per
     geometry, and the FFTs run over the batch axis a few signals at a
-    time.
+    time, multiplying into one reused buffer. Pooling is two
+    reshape-means: the first `length % n_frames` frames of one sample
+    more, then the rest.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -259,16 +261,24 @@ def scalograms(
     n = x.shape[1]
     if n < n_frames:
         raise ValueError("signal shorter than the requested frame count")
-    freqs, windows, nfft, bounds = _morlet_bank(
+    freqs, windows, nfft = _morlet_bank(
         n, float(sample_rate), n_scales, n_frames, float(omega0), float(f_min)
     )
+    size, n_long = divmod(n, n_frames)
+    split = n_long * (size + 1)
     pooled = np.empty((x.shape[0], n_scales, n_frames))
+    windowed = np.empty((min(_CHUNK, x.shape[0]), n_scales, nfft), dtype=np.complex128)
     for start in range(0, x.shape[0], _CHUNK):
-        spectra = np.fft.fft(x[start : start + _CHUNK], nfft, axis=-1)
-        coeffs = np.fft.ifft(spectra[:, None, :] * windows, axis=-1)[..., :n]
-        magnitudes = np.abs(coeffs)
-        for j, (a, b) in enumerate(bounds):
-            pooled[start : start + _CHUNK, :, j] = magnitudes[..., a:b].mean(axis=-1)
+        rows = x[start : start + _CHUNK]
+        m = rows.shape[0]
+        spectra = np.fft.fft(rows, nfft, axis=-1)
+        np.multiply(spectra[:, None, :], windows, out=windowed[:m])
+        magnitudes = np.abs(np.fft.ifft(windowed[:m], axis=-1)[..., :n])
+        out = pooled[start : start + m]
+        out[..., :n_long] = magnitudes[..., :split].reshape(
+            m, n_scales, n_long, size + 1).mean(axis=-1)
+        out[..., n_long:] = magnitudes[..., split:].reshape(
+            m, n_scales, n_frames - n_long, size).mean(axis=-1)
     if not np.all(np.isfinite(pooled) & (pooled >= 0)):
         raise ValueError("magnitudes must be finite and non-negative")
     return pooled, freqs
