@@ -6,7 +6,7 @@ wavelet scalograms of synthetic signals, then reused as initialization
 for downstream classifiers, either singly (swap in a softmax head) or as
 per-channel ensembles. The benchmark harness measures whether that reuse
 helps under data scarcity, reduces variance across splits, and speeds up
-early training, with its own statistical machinery.
+early training.
 """
 
 from .engine import (

@@ -409,6 +409,8 @@ def cmd_bench(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     n_nets = args.nets if args.nets is not None else 20
+    if n_nets < 1:
+        raise CliError(f"--nets must be at least 1, got {n_nets}")
     seed = args.seed if args.seed is not None else 2024
     worst = nets.gradcheck_suite(n_nets=n_nets, seed=seed)
     print(f"max_rel_error {_fmt(worst)}")

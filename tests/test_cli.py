@@ -133,6 +133,17 @@ def test_gradcheck_passes(capsys):
     assert worst <= 1e-4
 
 
+def test_gradcheck_rejects_no_nets(capsys):
+    # checking zero nets would pass vacuously with max_rel_error 0
+    for n in ("0", "-3"):
+        assert main(["gradcheck", "--nets", n]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert "error:" in out.err and "--nets" in out.err
+        assert out.out == ""
+    assert main(["gradcheck", "--nets", "1", "--seed", "2024"]) == 0
+    assert float(capsys.readouterr().out.split()[1]) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -457,6 +468,57 @@ def test_config_values_are_typed_like_their_flags(tmp_path, capsys):
     echoed = json.loads((tmp_path / "typed" / "config.json").read_text())
     assert (echoed["signals"], echoed["recon_signals"]) == (100, 2)
     assert echoed["momentum"] == 0.0 and isinstance(echoed["momentum"], float)
+
+
+def assert_same_tree(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_bench_replays_from_its_config_json(tmp_path, capsys):
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(BENCH_BASE + [
+        "--repeats", "2", "--models", "knn,linear-margin",
+        "--fractions", "0.5,1.0", "--zero-timing", "--out-dir", str(r1),
+    ]) == 0
+    assert main([
+        "bench", "--config", str(r1 / "config.json"), "--zero-timing",
+        "--out-dir", str(r2),
+    ]) == 0
+    capsys.readouterr()
+    assert json.loads((r1 / "config.json").read_text())["fractions"] == [0.5, 1.0]
+    assert_same_tree(r1, r2)
+
+
+def test_pretrain_replays_from_its_config_json(tmp_path, capsys):
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert main([
+        "pretrain", "--feature", "entropy", "--signals", "100",
+        "--max-epochs", "2", "--patience", "2", "--recon-signals", "5",
+        "--out", "ent.fin", "--out-dir", str(r1),
+    ]) == 0
+    assert main([
+        "pretrain", "--config", str(r1 / "config.json"), "--out", "ent.fin",
+        "--out-dir", str(r2),
+    ]) == 0
+    capsys.readouterr()
+    assert_same_tree(r1, r2)
+
+
+def test_config_json_of_another_command_is_rejected(tmp_path, capsys):
+    # every other key is a valid pretrain key, so only `command` is wrong
+    doc = tmp_path / "bench.json"
+    doc.write_text(json.dumps({"command": "bench", "signals": 100}))
+    code = main([
+        "pretrain", "--feature", "entropy", "--out", "x.fin",
+        "--config", str(doc), "--out-dir", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "error:" in err and "is for 'bench', not 'pretrain'" in err
+    assert not (tmp_path / "out" / "x.fin").exists()
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch, capsys):

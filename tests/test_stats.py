@@ -1,4 +1,7 @@
-"""Hand-rolled test statistics against scipy and textbook values."""
+"""Test statistics against scipy, closed-form tails and textbook values."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,54 +13,13 @@ from finnets.errors import DegenerateGroups
 from finnets.rng import rng_for
 
 
-def test_incomplete_beta_matches_scipy_on_grid():
-    params = (0.5, 1.0, 2.5, 7.0, 30.0)
-    xs = (0.0, 1e-6, 0.01, 0.3, 0.5, 0.77, 0.99, 1.0)
-    for a in params:
-        for b in params:
-            for x in xs:
-                want = float(scipy.special.betainc(a, b, x))
-                got = stats.regularized_incomplete_beta(a, b, x)
-                assert abs(got - want) < 1e-12, (a, b, x)
-
-
-def test_f_cdf_matches_scipy():
-    rng = rng_for(1, "fcdf")
-    for _ in range(50):
-        d1 = float(rng.integers(1, 40))
-        d2 = float(rng.integers(1, 40))
-        x = float(rng.uniform(0.0, 8.0))
-        want = float(scipy.stats.f.cdf(x, d1, d2))
-        assert abs(stats.f_cdf(x, d1, d2) - want) < 1e-10
-
-
-def test_f_distribution_median_with_equal_dof():
-    assert stats.f_cdf(1.0, 10.0, 10.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_t_cdf_matches_scipy():
-    rng = rng_for(2, "tcdf")
-    for _ in range(50):
-        df = float(rng.integers(1, 60))
-        x = float(rng.uniform(-5.0, 5.0))
-        want = float(scipy.stats.t.cdf(x, df))
-        assert abs(stats.t_cdf(x, df) - want) < 1e-12
-
-
-def test_t_cdf_symmetry():
-    for x in (0.5, 1.3, 2.8):
-        total = stats.t_cdf(x, 7.0) + stats.t_cdf(-x, 7.0)
-        assert total == pytest.approx(1.0, abs=1e-14)
-    assert stats.t_cdf(0.0, 3.0) == pytest.approx(0.5, abs=1e-14)
-
-
 def test_levene_matches_scipy_mean_centered():
     a = [1.0, 2.0, 3.0, 4.0, 5.0]
     b = [10.0, 20.0, 30.0, 40.0, 50.0]
     w, p = stats.levene_test([a, b])
     want_w, want_p = scipy.stats.levene(a, b, center="mean")
     assert w == pytest.approx(float(want_w), abs=1e-9)
-    assert p == pytest.approx(float(want_p), abs=1e-9)
+    assert p == pytest.approx(float(want_p), rel=1e-12, abs=0.0)
 
 
 def test_levene_random_groups_match_scipy():
@@ -70,7 +32,21 @@ def test_levene_random_groups_match_scipy():
         w, p = stats.levene_test(groups)
         want_w, want_p = scipy.stats.levene(*groups, center="mean")
         assert w == pytest.approx(float(want_w), rel=1e-9)
-        assert p == pytest.approx(float(want_p), abs=1e-9)
+        assert p == pytest.approx(float(want_p), rel=1e-12, abs=0.0)
+
+
+def test_levene_far_tail_matches_closed_form():
+    # F(2, d2) has the exact upper tail (1 + 2W/d2)^(-d2/2); 1 - cdf gives 0
+    base = np.array([-1.0, 1.0, -1.01, 1.01])
+    groups = [base, 2.0 * base, 10.0 * base]
+    w, p = stats.levene_test(groups)
+    assert w > 8e4
+    assert p > 0.0
+    assert p == pytest.approx((1.0 + 2.0 * w / 9.0) ** -4.5, rel=1e-12, abs=0.0)
+    assert p == pytest.approx(
+        float(scipy.stats.levene(*groups, center="mean").pvalue),
+        rel=1e-12, abs=0.0,
+    )
 
 
 def test_levene_degenerate_groups():
@@ -89,7 +65,7 @@ def test_welch_textbook_example():
     t, p_less = stats.welch_t_one_tailed(a, b, alternative="less")
     want = scipy.stats.ttest_ind(a, b, equal_var=False, alternative="less")
     assert t == pytest.approx(float(want.statistic), abs=1e-9)
-    assert p_less == pytest.approx(float(want.pvalue), abs=1e-12)
+    assert p_less == pytest.approx(float(want.pvalue), rel=1e-12, abs=0.0)
 
 
 def test_welch_random_samples_match_scipy():
@@ -103,7 +79,24 @@ def test_welch_random_samples_match_scipy():
                 a, b, equal_var=False, alternative=alternative
             )
             assert t == pytest.approx(float(want.statistic), rel=1e-9)
-            assert p == pytest.approx(float(want.pvalue), abs=1e-12)
+            assert p == pytest.approx(float(want.pvalue), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1e3, 1e7])
+def test_welch_far_tail_matches_closed_form(m):
+    # a = [m, m+1], b = [0, 1]: df = 2 exactly and t = m·√2, whose exact
+    # upper tail is 1 / (s·(s + t)) with s = √(t² + 2)
+    a, b = [m, m + 1.0], [0.0, 1.0]
+    t, p = stats.welch_t_one_tailed(a, b, "greater")
+    s = math.sqrt(t * t + 2.0)
+    exact = 1.0 / (s * (s + t))
+    assert t == pytest.approx(m * math.sqrt(2.0), rel=1e-12, abs=0.0)
+    assert p == pytest.approx(exact, rel=1e-12, abs=0.0)
+    t_rev, p_rev = stats.welch_t_one_tailed(b, a, "less")
+    assert t_rev == -t
+    assert p_rev == pytest.approx(exact, rel=1e-12, abs=0.0)
+    want = scipy.stats.ttest_ind(a, b, equal_var=False, alternative="greater")
+    assert p == pytest.approx(float(want.pvalue), rel=1e-12, abs=0.0)
 
 
 def test_welch_swap_symmetry():
@@ -156,3 +149,14 @@ def test_sign_test_all_wins():
     wins, n, p = stats.sign_test_one_sided([0.5] * 8)
     assert (wins, n) == (8, 8)
     assert p == pytest.approx(1.0 / 256.0, abs=1e-15)
+
+
+def test_sign_test_beyond_float_range_of_two_to_the_n():
+    # 2.0 ** n overflows from n = 1024 on; the exact ratio does not
+    wins, n, p = stats.sign_test_one_sided([1.0] * 1100)
+    assert (wins, n, p) == (1100, 1100, 0.0)  # 2^-1100 is below the subnormals
+    wins, n, p = stats.sign_test_one_sided([1.0] * 600 + [-1.0] * 500)
+    assert (wins, n) == (600, 1100)
+    want = Fraction(sum(math.comb(1100, j) for j in range(600, 1101)), 2 ** 1100)
+    assert 0.0 < p < 0.01
+    assert p == pytest.approx(float(want), rel=1e-12, abs=0.0)
