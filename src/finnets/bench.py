@@ -796,6 +796,11 @@ def _enumerate_splits(data: LabeledDataset, plan: SplitPlan):
     if data.subject_ids is None:
         raise SplitError("leave_subjects_out needs subject ids")
     subjects = [int(s) for s in np.unique(data.subject_ids)]
+    if len(subjects) < 3:
+        raise SplitError(
+            "leave_subjects_out needs at least three subjects (validation, test"
+            f" and training), got {len(subjects)}"
+        )
     pairs = [(v, t) for v in subjects for t in subjects if v != t]
     return [
         (i, split_leave_subjects_out(data, v, t)) for i, (v, t) in enumerate(pairs)

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: pretrain, inspect, bench, gradcheck, oracle. Every run is
-deterministic given its flags; the fully resolved configuration is echoed
-into the output directory as `config.json` so any result can be replayed
-from one file. Flags override config-file values, which override the
-built-in defaults.
+deterministic given its flags. Each subcommand's argparse parser is the
+one table of its options and their defaults. `pretrain` and `bench` echo
+the resolved value of every option except `--config` and `--out-dir` into
+the output directory as `config.json`, so `--config DIR/config.json
+--out-dir NEW` replays a run; an absolute `--out` is echoed as given.
+Flags override config-file values, which override the built-in defaults.
 
 Exit codes: 0 ok, 1 check failed, 2 config error, 3 training divergence,
 4 IO or corrupt-file error.
@@ -56,48 +58,57 @@ def _out_dir(args) -> str:
     return out
 
 
-def _merge_config(args, parser_defaults: dict) -> dict:
-    """Apply flags > config file > defaults and return the resolved dict.
+def _config_actions(parser: argparse.ArgumentParser) -> dict:
+    """Config key -> argparse action of each option a config file may set."""
+    return {
+        a.dest: a for a in parser._actions
+        if a.dest not in ("help", "config", "out_dir")
+    }
 
-    The config file may be a `config.json` this command echoed: its
-    `command` key must then name the running subcommand.
+
+def _read_config(args) -> dict:
+    """The checked values of the `--config` file, by config key.
+
+    The file may be a `config.json` this command echoed: its `command`
+    key must then name the running subcommand.
     """
-    resolved = dict(parser_defaults)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise CliError("config file must hold a JSON object")
-        command = file_cfg.pop("command", args.command)
-        if command != args.command:
-            raise CliError(f"config file is for {command!r}, not {args.command!r}")
-        unknown = set(file_cfg) - set(parser_defaults)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            resolved[key] = _config_value(
-                key, value, args.flag_types.get(key), parser_defaults[key]
-            )
-    for key in parser_defaults:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            resolved[key] = flag_value
-    return resolved
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise CliError("config file must hold a JSON object")
+    command = file_cfg.pop("command", args.command)
+    if command != args.command:
+        raise CliError(f"config file is for {command!r}, not {args.command!r}")
+    actions = _config_actions(args.parser)
+    unknown = set(file_cfg) - set(actions)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
+    return {
+        key: _config_value(key, value, actions[key])
+        for key, value in file_cfg.items()
+    }
 
 
-def _config_value(key: str, value, convert, default):
-    """A config-file value checked with its flag's `type=` converter.
+def _config_value(key: str, value, action: argparse.Action):
+    """A config-file value checked against its flag.
 
-    The value must come back from the converter equal to itself, so "500"
-    is not an int, 2.5 is not an int and 3 is the float 3.0; bools are
-    never numbers, and null is accepted only where the default is None.
+    The value becomes the flag's default, which argparse never checks. A
+    switch takes a JSON bool. A typed flag's value must come back from its
+    `type=` converter equal to itself, so "500" is not an int, 2.5 is not
+    an int and 3 is the float 3.0; bools are never numbers, and null is
+    accepted only where the default is None.
     """
-    if convert is None or (value is None and default is None):
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise CliError(f"config key {key!r} must be a JSON bool, got {value!r}")
+    convert = action.type
+    if convert is None or (value is None and action.default is None):
         return value
     try:
         converted = convert(value)
@@ -110,27 +121,24 @@ def _config_value(key: str, value, convert, default):
     return converted
 
 
-def _flag_types(parser: argparse.ArgumentParser) -> dict:
-    """Config key -> `type=` converter of each typed flag of a subcommand."""
-    return {a.dest: a.type for a in parser._actions if a.type is not None}
-
-
-def _echo_config(resolved: dict, out_dir: str, command: str) -> None:
-    doc = {"command": command, **resolved}
+def _echo_config(args, out_dir: str, **resolved) -> None:
+    """Write every config key's value to `config.json`; `resolved` wins."""
+    doc = {key: getattr(args, key) for key in _config_actions(args.parser)}
+    doc.update(resolved, command=args.command)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8",
               newline="") as fh:
         fh.write(_canonical_json(doc))
 
 
-def _train_config(resolved: dict, seed: int) -> nets.TrainConfig:
+def _train_config(args) -> nets.TrainConfig:
     try:
         return nets.TrainConfig(
-            learning_rate=resolved["learning_rate"],
-            momentum=resolved["momentum"],
-            batch_size=resolved["batch_size"],
-            max_epochs=resolved["max_epochs"],
-            patience=resolved["patience"],
-            seed=seed,
+            learning_rate=args.learning_rate,
+            momentum=args.momentum,
+            batch_size=args.batch_size,
+            max_epochs=args.max_epochs,
+            patience=args.patience,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -140,45 +148,26 @@ def _train_config(resolved: dict, seed: int) -> nets.TrainConfig:
 # pretrain
 # ---------------------------------------------------------------------------
 
-_PRETRAIN_DEFAULTS = {
-    "feature": None,
-    "signals": en.DEFAULT_N_SIGNALS,
-    "seed": 0,
-    "gen_seed": 42,
-    "signal_length": sg.DEFAULT_LENGTH,
-    "sample_rate": sg.DEFAULT_SAMPLE_RATE,
-    "learning_rate": 0.01,
-    "momentum": 0.9,
-    "batch_size": 64,
-    "max_epochs": 60,
-    "patience": 8,
-    "recon_signals": 3000,
-}
-
-
 def cmd_pretrain(args) -> int:
-    resolved = _merge_config(args, _PRETRAIN_DEFAULTS)
-    feature = resolved["feature"]
-    if feature not in fe.FEATURE_NAMES:
+    if args.feature not in fe.FEATURE_NAMES:
         raise CliError(
             f"--feature must be one of {', '.join(fe.FEATURE_NAMES)}"
         )
     if not args.out:
         raise CliError("--out is required")
-    if resolved["signals"] < 100:
+    if args.signals < 100:
         raise CliError("--signals must be at least 100")
-    if resolved["recon_signals"] < 1:
+    if args.recon_signals < 1:
         raise CliError("--recon-signals must be at least 1")
     out_dir = _out_dir(args)
-    artifact_path = args.out if os.path.isabs(args.out) else os.path.join(out_dir, args.out)
+    artifact_path = os.path.join(out_dir, args.out)  # an absolute --out wins
 
     gen = sg.GenSpec(
-        length=int(resolved["signal_length"]),
-        sample_rate=float(resolved["sample_rate"]),
-        seed=int(resolved["gen_seed"]),
+        length=args.signal_length, sample_rate=args.sample_rate, seed=args.gen_seed
     )
-    cfg = _train_config(resolved, int(resolved["seed"]))
-    artifact = en.pretrain_fin(feature, gen, cfg=cfg, n_signals=int(resolved["signals"]))
+    artifact = en.pretrain_fin(
+        args.feature, gen, cfg=_train_config(args), n_signals=args.signals
+    )
     try:
         en.save_fin(artifact, artifact_path)
     except OSError as exc:
@@ -186,9 +175,8 @@ def cmd_pretrain(args) -> int:
         return EXIT_IO
 
     # fresh signals, disjoint from the pretraining corpus by index
-    n_recon = int(resolved["recon_signals"])
     recon_sigs = (
-        sg.generate(gen, int(resolved["signals"]) + i) for i in range(n_recon)
+        sg.generate(gen, args.signals + i) for i in range(args.recon_signals)
     )
     rep = en.reconstruction_report(artifact, recon_sigs)
     with open(os.path.join(out_dir, "recon_hist.csv"), "w", encoding="utf-8",
@@ -200,7 +188,7 @@ def cmd_pretrain(args) -> int:
                 _fmt(rep.histogram_edges[j]), _fmt(rep.histogram_edges[j + 1]),
                 int(rep.histogram_counts[j]),
             ])
-    _echo_config(resolved, out_dir, "pretrain")
+    _echo_config(args, out_dir)
     print(f"artifact {artifact_path}")
     print(f"mean_abs_error {_fmt(rep.mean_abs_error)}")
     print(f"best_val_loss {_fmt(artifact.history_summary['best_val_loss'])}")
@@ -232,28 +220,6 @@ def cmd_inspect(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-_BENCH_DEFAULTS = {
-    "task": None,
-    "models": None,
-    "protocol": "repeated-random",
-    "repeats": 10,
-    "fractions": None,
-    "seed": 0,
-    "rho": 0.05,
-    "items": 1200,
-    "channels": 1,
-    "subjects": None,
-    "knn_k": 5,
-    "search_candidates": 20,
-    "learning_rate": 0.01,
-    "momentum": 0.9,
-    "batch_size": 64,
-    "max_epochs": 40,
-    "patience": 6,
-    "workers": 1,
-}
-
-
 def _fractions(value) -> tuple:
     """`--fractions` as its comma-separated flag text, or as the JSON list
     of numbers that `config.json` echoes."""
@@ -269,38 +235,25 @@ def _fractions(value) -> tuple:
         raise CliError(f"bad --fractions: {exc}") from exc
 
 
-def _parse_task(resolved: dict) -> B.LabeledDataset:
-    task = resolved["task"]
+def _parse_task(args) -> B.LabeledDataset:
+    task = args.task
     if task is None:
         raise CliError("--task is required")
-    seed = int(resolved["seed"])
-    subjects = resolved["subjects"]
-    subjects = int(subjects) if subjects else None
+    shape = dict(
+        n_channels=args.channels, n_items=args.items, rho=args.rho,
+        seed=derive_seed(args.seed, "task"), n_subjects=args.subjects or None,
+    )
     if task.startswith("feature-threshold:"):
         feature = task.split(":", 1)[1]
         if feature not in fe.FEATURE_NAMES:
             raise CliError(f"unknown feature {feature!r} in task")
-        return B.make_feature_threshold_task(
-            feature,
-            n_channels=int(resolved["channels"]),
-            n_items=int(resolved["items"]),
-            rho=float(resolved["rho"]),
-            seed=derive_seed(seed, "task"),
-            n_subjects=subjects,
-        )
+        return B.make_feature_threshold_task(feature, **shape)
     if task.startswith("multi-feature:"):
         names = [n for n in task.split(":", 1)[1].split(",") if n]
         bad = [n for n in names if n not in fe.FEATURE_NAMES]
         if bad:
             raise CliError(f"unknown features {bad} in task")
-        return B.make_multi_feature_task(
-            names,
-            n_channels=int(resolved["channels"]),
-            n_items=int(resolved["items"]),
-            rho=float(resolved["rho"]),
-            seed=derive_seed(seed, "task"),
-            n_subjects=subjects,
-        )
+        return B.make_multi_feature_task(names, **shape)
     if task.startswith("csv:"):
         return B.ingest_dataset_csv(task.split(":", 1)[1])
     raise CliError(
@@ -309,8 +262,8 @@ def _parse_task(resolved: dict) -> B.LabeledDataset:
     )
 
 
-def _parse_models(resolved: dict, data: B.LabeledDataset, cfg, seed: int):
-    spec = resolved["models"]
+def _parse_models(args, data: B.LabeledDataset, cfg):
+    spec = args.models
     if not spec:
         raise CliError("--models is required")
     models = []
@@ -331,12 +284,12 @@ def _parse_models(resolved: dict, data: B.LabeledDataset, cfg, seed: int):
             models.append(B.EnsembleFinModel(entry, arts))
         elif entry == "baseline-search":
             winner, search_records = B.baseline_search(
-                data, cfg, derive_seed(seed, "search"),
-                n_candidates=int(resolved["search_candidates"]),
+                data, cfg, derive_seed(args.seed, "search"),
+                n_candidates=args.search_candidates,
             )
             models.append(B.RandomDenseModel(entry, winner))
         elif entry == "knn":
-            models.append(B.KnnModel("knn", k=int(resolved["knn_k"])))
+            models.append(B.KnnModel("knn", k=args.knn_k))
         elif entry == "linear-margin":
             models.append(B.LinearMarginModel("linear-margin"))
         else:
@@ -345,35 +298,26 @@ def _parse_models(resolved: dict, data: B.LabeledDataset, cfg, seed: int):
 
 
 def cmd_bench(args) -> int:
-    resolved = _merge_config(args, _BENCH_DEFAULTS)
     if args.serial_timing:
-        resolved["workers"] = 1
+        args.workers = 1
     out_dir = _out_dir(args)
     # a marker left by an earlier failed run would outlive this run's report
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "FAILED"))
     try:
-        protocol = resolved["protocol"]
-        if protocol not in ("repeated-random", "leave-subjects-out"):
+        if args.protocol not in ("repeated-random", "leave-subjects-out"):
             raise CliError("--protocol must be repeated-random or leave-subjects-out")
-        fractions = _fractions(resolved["fractions"])
-        seed = int(resolved["seed"])
-        data = _parse_task(resolved)
-        cfg = _train_config(resolved, seed)
-        models, search_records = _parse_models(resolved, data, cfg, seed)
-        mode = (
-            "leave_subjects_out" if protocol == "leave-subjects-out"
-            else "repeated_random"
-        )
+        fractions = _fractions(args.fractions)
+        data = _parse_task(args)
+        cfg = _train_config(args)
+        models, search_records = _parse_models(args, data, cfg)
         plan = B.SplitPlan(
-            mode=mode,
-            repeats=int(resolved["repeats"]),
+            mode=args.protocol.replace("-", "_"),
+            repeats=args.repeats,
             fractions=fractions,
-            seed=seed,
+            seed=args.seed,
         )
-        report = B.run_benchmark(
-            data, plan, models, cfg, workers=int(resolved["workers"])
-        )
+        report = B.run_benchmark(data, plan, models, cfg, workers=args.workers)
         tags = [m.tag for m in models]
         comparisons = []
         for i, a in enumerate(tags):
@@ -389,7 +333,7 @@ def cmd_bench(args) -> int:
             if args.zero_timing:
                 search_records = [{**r, "train_seconds": 0.0} for r in search_records]
             rp.emit_search_records(search_records, out_dir)
-        _echo_config({**resolved, "fractions": list(fractions)}, out_dir, "bench")
+        _echo_config(args, out_dir, fractions=list(fractions))
         for tag, agg in report.aggregates.items():
             print(
                 f"model {tag} accuracy {_fmt(agg['mean_accuracy'])}"
@@ -408,11 +352,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
-    n_nets = args.nets if args.nets is not None else 20
-    if n_nets < 1:
-        raise CliError(f"--nets must be at least 1, got {n_nets}")
-    seed = args.seed if args.seed is not None else 2024
-    worst = nets.gradcheck_suite(n_nets=n_nets, seed=seed)
+    if args.nets < 1:
+        raise CliError(f"--nets must be at least 1, got {args.nets}")
+    worst = nets.gradcheck_suite(n_nets=args.nets, seed=args.seed)
     print(f"max_rel_error {_fmt(worst)}")
     if worst <= GRADCHECK_TOLERANCE:
         return EXIT_OK
@@ -515,26 +457,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_train_flags(p):
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
-        p.add_argument("--patience", type=int)
+    def add_train_flags(p, max_epochs, patience):
+        p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.01)
+        p.add_argument("--momentum", type=float, default=0.9)
+        p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
+        p.add_argument("--max-epochs", dest="max_epochs", type=int, default=max_epochs)
+        p.add_argument("--patience", type=int, default=patience)
 
     p = sub.add_parser("pretrain", help="train a feature regressor on synthetic signals")
     p.add_argument("--feature")
-    p.add_argument("--signals", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gen-seed", dest="gen_seed", type=int)
-    p.add_argument("--signal-length", dest="signal_length", type=int)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float)
-    p.add_argument("--recon-signals", dest="recon_signals", type=int)
-    add_train_flags(p)
-    p.add_argument("--out", required=True, help="artifact filename")
+    p.add_argument("--signals", type=int, default=en.DEFAULT_N_SIGNALS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gen-seed", dest="gen_seed", type=int, default=42)
+    p.add_argument("--signal-length", dest="signal_length", type=int,
+                   default=sg.DEFAULT_LENGTH)
+    p.add_argument("--sample-rate", dest="sample_rate", type=float,
+                   default=sg.DEFAULT_SAMPLE_RATE)
+    p.add_argument("--recon-signals", dest="recon_signals", type=int, default=3000)
+    add_train_flags(p, max_epochs=60, patience=8)
+    p.add_argument("--out", help="artifact filename")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_pretrain, flag_types=_flag_types(p))
+    p.set_defaults(func=cmd_pretrain, parser=p)
 
     p = sub.add_parser("inspect", help="summarize a saved artifact")
     p.add_argument("path")
@@ -543,29 +487,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an evaluation protocol")
     p.add_argument("--task")
     p.add_argument("--models")
-    p.add_argument("--protocol")
-    p.add_argument("--repeats", type=int)
+    p.add_argument("--protocol", default="repeated-random")
+    p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--fractions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--items", type=int)
-    p.add_argument("--channels", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho", type=float, default=0.05)
+    p.add_argument("--items", type=int, default=1200)
+    p.add_argument("--channels", type=int, default=1)
     p.add_argument("--subjects", type=int)
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--search-candidates", dest="search_candidates", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--knn-k", dest="knn_k", type=int, default=5)
+    p.add_argument("--search-candidates", dest="search_candidates", type=int, default=20)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--serial-timing", dest="serial_timing", action="store_true",
                    help="force serial execution for trustworthy timing")
     p.add_argument("--zero-timing", dest="zero_timing", action="store_true",
                    help="write 0.0 for all timing fields (byte-comparable reports)")
-    add_train_flags(p)
+    add_train_flags(p, max_epochs=40, patience=6)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_bench, flag_types=_flag_types(p))
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--nets", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--nets", type=int, default=20)
+    p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("oracle", help="print closed-form feature values")
@@ -589,6 +533,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, matching the config-error code
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
+        if getattr(args, "config", None):
+            # file values become defaults, so argparse ranks flags > file > defaults
+            args.parser.set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

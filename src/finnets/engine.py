@@ -253,8 +253,16 @@ def save_fin(artifact: FinArtifact, path) -> None:
         fh.write(_canonical_json(doc))
 
 
+def _json_typed(value, types, field: str):
+    """`value` if its JSON type is one of `types`; a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise CorruptArtifact(f"{field} has the wrong JSON type: {value!r}")
+    return value
+
+
 def load_fin(path) -> FinArtifact:
-    """Read a `.fin` file, validating version, shapes, and payload size."""
+    """Read a `.fin` file, validating version, field types, shapes, and
+    payload size."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -263,20 +271,28 @@ def load_fin(path) -> FinArtifact:
     if not isinstance(doc, dict):
         raise CorruptArtifact("artifact root must be an object")
     version = doc.get("format_version")
+    if version is not None:
+        _json_typed(version, int, "format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"format_version {version!r} is not supported")
+    number = (int, float)
     try:
+        topology = doc["topology"]
         topo = Topology(
-            tuple(doc["topology"]["layer_sizes"]),
-            tuple(doc["topology"]["activations"]),
+            tuple(_json_typed(s, int, "layer_sizes") for s in topology["layer_sizes"]),
+            tuple(topology["activations"]),
         )
         feature = doc["feature"]
-        norm_lo = np.asarray(doc["norm_lo"], dtype=np.float64)
-        norm_hi = np.asarray(doc["norm_hi"], dtype=np.float64)
+        norm_lo, norm_hi = (
+            np.array([_json_typed(v, number, key) for v in doc[key]], dtype=np.float64)
+            for key in ("norm_lo", "norm_hi")
+        )
         digest = doc["gen_spec_digest"]
+        hist = doc["history_summary"]
+        best = _json_typed(hist["best_val_loss"], number, "best_val_loss")
         summary = {
-            "best_val_loss": float(doc["history_summary"]["best_val_loss"]),
-            "epochs": int(doc["history_summary"]["epochs"]),
+            "best_val_loss": float(best),
+            "epochs": _json_typed(hist["epochs"], int, "epochs"),
         }
         payload = base64.b64decode(doc["weights"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:

@@ -166,6 +166,11 @@ def test_loso_enumerates_ordered_pairs():
     report = bench.run_benchmark(data, plan, [bench.KnnModel(k=1)], cfg)
     assert len(report.runs) == 12  # 4 * 3 ordered subject pairs
     assert [r.split_index for r in report.runs] == list(range(12))
+    # one subject has no pair to hold out: an empty report would read as a result
+    for n_subjects in (1, 2):
+        few = toy_dataset(n_items=40, n_subjects=n_subjects)
+        with pytest.raises(SplitError, match="at least three subjects"):
+            bench.run_benchmark(few, plan, [bench.KnnModel(k=1)], cfg)
 
 
 def test_stratified_subsample_counts():

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, outputs, and config precedence."""
 
+import argparse
 import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import finnets
 from finnets import bench, engine, features, signals
-from finnets.cli import EXIT_CONFIG, main
+from finnets.cli import EXIT_CONFIG, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,6 +122,15 @@ def test_inspect_truncated_artifact(artifact_path, tmp_path, capsys):
     cut.write_bytes(data[: len(data) // 2])
     assert main(["inspect", str(cut)]) == 4
     capsys.readouterr()
+
+
+def test_inspect_field_of_the_wrong_json_type(artifact_path, tmp_path, capsys):
+    doc = json.loads(Path(artifact_path).read_text())
+    doc["history_summary"]["epochs"] += 0.7
+    bad = tmp_path / "bad.fin"
+    bad.write_text(json.dumps(doc))
+    assert main(["inspect", str(bad)]) == 4
+    assert "epochs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +347,21 @@ def test_bench_loso_with_subjects(tmp_path, capsys):
     assert len(runs) == 1 + 6  # 3 * 2 ordered subject pairs
 
 
+def test_bench_loso_needs_three_subjects(tmp_path, capsys):
+    # one subject used to give an empty report and exit 0
+    loso = BENCH_BASE + ["--protocol", "leave-subjects-out", "--models", "knn"]
+    for n in ("1", "2"):
+        out_dir = tmp_path / n
+        assert main(loso + ["--subjects", n, "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert "at least three subjects" in out.err and out.out == ""
+        assert (out_dir / "FAILED").read_text().startswith("SplitError")
+        assert not (out_dir / "runs.csv").exists()
+    assert main(loso + ["--subjects", "3", "--out-dir", str(tmp_path / "3")]) == 0
+    capsys.readouterr()
+    assert not (tmp_path / "3" / "FAILED").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_bench_divergence_exit_code(artifact_path, tmp_path, capsys):
@@ -439,10 +465,10 @@ def test_config_values_are_typed_like_their_flags(tmp_path, capsys):
     base = ["pretrain", "--feature", "entropy", "--max-epochs", "1",
             "--patience", "1", "--out", "x.fin"]
 
-    def run(name, doc):
+    def run(name, doc, command=base):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(doc))
-        code = main(base + ["--config", str(cfg), "--out-dir", str(tmp_path / name)])
+        code = main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / name)])
         return code, capsys.readouterr()
 
     wrong = {
@@ -462,6 +488,10 @@ def test_config_values_are_typed_like_their_flags(tmp_path, capsys):
         if isinstance(doc, dict):
             assert f"config key {next(iter(doc))!r}" in out.err
         assert not (tmp_path / name / "x.fin").exists()
+    # a switch takes a JSON bool, not a truthy string
+    code, out = run("str_switch", {"zero_timing": "yes"}, BENCH_BASE + ["--models", "knn"])
+    assert code == EXIT_CONFIG and "config key 'zero_timing'" in out.err, out.err
+    assert not (tmp_path / "str_switch" / "runs.csv").exists()
     # positive control: numbers of the flag's type, an int for a float flag
     code, out = run("typed", {"signals": 100, "recon_signals": 2, "momentum": 0})
     assert code == 0, out.err
@@ -507,6 +537,31 @@ def test_pretrain_replays_from_its_config_json(tmp_path, capsys):
     assert_same_tree(r1, r2)
 
 
+def test_config_json_alone_replays_a_bench_run(tmp_path, capsys):
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(BENCH_BASE + [
+        "--repeats", "2", "--models", "knn,linear-margin",
+        "--fractions", "0.5,1.0", "--zero-timing", "--out-dir", str(r1),
+    ]) == 0
+    assert main(["bench", "--config", str(r1 / "config.json"), "--out-dir", str(r2)]) == 0
+    capsys.readouterr()
+    assert_same_tree(r1, r2)
+    assert json.loads((r1 / "config.json").read_text())["zero_timing"] is True
+
+
+def test_config_json_alone_replays_a_pretrain_run(tmp_path, capsys):
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert main([
+        "pretrain", "--feature", "entropy", "--signals", "100",
+        "--max-epochs", "2", "--patience", "2", "--recon-signals", "5",
+        "--out", "ent.fin", "--out-dir", str(r1),
+    ]) == 0
+    assert main(["pretrain", "--config", str(r1 / "config.json"), "--out-dir", str(r2)]) == 0
+    capsys.readouterr()
+    assert_same_tree(r1, r2)
+    assert json.loads((r1 / "config.json").read_text())["out"] == "ent.fin"
+
+
 def test_config_json_of_another_command_is_rejected(tmp_path, capsys):
     # every other key is a valid pretrain key, so only `command` is wrong
     doc = tmp_path / "bench.json"
@@ -534,6 +589,32 @@ def test_argparse_errors_map_to_config_code(capsys):
     assert main(["bench", "--nope"]) == 2
     assert main(["transmogrify"]) == 2
     capsys.readouterr()
+
+
+def test_readme_cli_summary_lists_every_flag():
+    # per bullet: pretrain's bullet also lists the training flags bench takes
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    summary = text.split("## CLI summary", 1)[1].split("\n## ", 1)[0]
+    bullets, name = {}, None
+    for line in summary.splitlines():
+        if line.startswith("- `fin "):
+            name = line.split()[2].rstrip("`")
+            bullets[name] = line
+        elif name and line.startswith("  "):
+            bullets[name] += " " + line
+        else:
+            name = None
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(bullets) == sorted(commands.choices)
+    missing = [
+        (name, option)
+        for name, parser in commands.choices.items()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", bullets[name])
+    ]
+    assert missing == []
 
 
 ORACLE_DEMO = ["oracle", "--feature", "entropy", "--demo", "constant"]

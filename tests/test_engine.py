@@ -294,6 +294,32 @@ def test_corrupt_payload_and_fields(tiny_artifact, tmp_path):
         engine.load_fin(path)
 
 
+@pytest.mark.parametrize("where, value", [
+    (("format_version",), True),
+    (("format_version",), 1.0),
+    (("topology", "layer_sizes"), [1024.9, 32, 16, 1]),
+    (("topology", "layer_sizes"), [1024, True, 16, 1]),
+    (("history_summary", "epochs"), 3.7),
+    (("history_summary", "best_val_loss"), "0.5"),
+    (("history_summary", "best_val_loss"), True),
+    (("norm_lo",), ["0"]),
+    (("norm_hi",), [True]),
+], ids=repr)
+def test_fields_of_the_wrong_json_type_are_corrupt(tiny_artifact, tmp_path, where, value):
+    # each value is, or converts to, a number: only its JSON type is wrong
+    path = tmp_path / "a.fin"
+    engine.save_fin(tiny_artifact, path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptArtifact, match="wrong JSON type"):
+        engine.load_fin(path)
+
+
 # ---------------------------------------------------------------------------
 # transfer mechanics
 # ---------------------------------------------------------------------------
