@@ -33,6 +33,9 @@ from .nets import Topology, TrainConfig
 from .rng import derive_seed, rng_for
 
 SPLIT_MODES = ("repeated_random", "leave_subjects_out")
+# shares of a repeated random split: test of all items, validation of the rest
+TEST_FRACTION = 0.15
+VAL_FRACTION = 0.15
 SEARCH_WIDTHS = (32, 64, 128, 256, 512)
 SEARCH_DEPTHS = (2, 10)  # inclusive range of affine layer counts
 
@@ -91,10 +94,10 @@ class LabeledDataset:
         return self.inputs.shape[2]
 
 
-def _channel_mean_feature(samples, gen, n_channels, feature, config):
+def _channel_mean_feature(samples, gen, n_channels, feature):
     """Per-item oracle value, averaged over feature components and then
     over the item's channels."""
-    values = fe.compute_features(samples, gen.sample_rate, feature, config)
+    values = fe.compute_features(samples, gen.sample_rate, feature)
     return values.mean(axis=1).reshape(-1, n_channels).mean(axis=1)
 
 
@@ -124,7 +127,6 @@ def make_feature_threshold_task(
     seed: int = 0,
     n_subjects: int = None,
     gen: sg.GenSpec = None,
-    config: fe.FeatureConfig = fe.FeatureConfig(),
 ) -> LabeledDataset:
     """Binary task: channel-mean oracle feature above the corpus median.
 
@@ -136,7 +138,7 @@ def make_feature_threshold_task(
     if gen is None:
         gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", feature))
     inputs, samples = _materialize_items(gen, n_items, n_channels)
-    scores = _channel_mean_feature(samples, gen, n_channels, feature, config)
+    scores = _channel_mean_feature(samples, gen, n_channels, feature)
     labels, thresh = _threshold_labels(scores, rho, seed)
     subjects = np.arange(n_items) % n_subjects if n_subjects else None
     return LabeledDataset(
@@ -158,7 +160,6 @@ def make_multi_feature_task(
     seed: int = 0,
     n_subjects: int = None,
     gen: sg.GenSpec = None,
-    config: fe.FeatureConfig = fe.FeatureConfig(),
 ) -> LabeledDataset:
     """Binary task labeled by a fixed random signed combination of features.
 
@@ -179,7 +180,7 @@ def make_multi_feature_task(
     weights = {}
     combined = np.zeros(n_items)
     for name in features:
-        raw = _channel_mean_feature(samples, gen, n_channels, name, config)
+        raw = _channel_mean_feature(samples, gen, n_channels, name)
         std = raw.std()
         if std < 1e-12:
             raise CorpusDegenerateError(f"feature {name} is constant on this corpus")
@@ -309,9 +310,10 @@ def ingest_dataset_csv(path) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
+    """How a benchmark splits its items. `fractions`, strictly ascending
+    in (0, 1], subsample the training split; empty means all of it."""
+
     mode: str = "repeated_random"
-    test_frac: float = 0.15
-    val_frac: float = 0.15
     repeats: int = 10
     fractions: tuple = ()
     seed: int = 0
@@ -319,17 +321,14 @@ class SplitPlan:
     def __post_init__(self):
         if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
-        if not (0.0 < self.test_frac < 1.0 and 0.0 < self.val_frac < 1.0):
-            raise ValueError("test_frac and val_frac must lie in (0, 1)")
-        if self.test_frac + self.val_frac >= 1.0:
-            raise ValueError("test_frac + val_frac must stay below 1")
         if self.repeats < 1:
             raise ValueError("repeats must be positive")
         fr = tuple(float(f) for f in self.fractions)
         if any(not (0.0 < f <= 1.0) for f in fr):
             raise ValueError("fractions must lie in (0, 1]")
-        if list(fr) != sorted(fr):
-            raise ValueError("fractions must be sorted ascending")
+        if any(b <= a for a, b in zip(fr, fr[1:])):
+            # a repeated fraction would re-run its splits as extra samples
+            raise ValueError("fractions must be strictly ascending")
         object.__setattr__(self, "fractions", fr)
 
 
@@ -343,18 +342,18 @@ def _check_class_coverage(labels, n_classes, parts):
 def split_repeated(data: LabeledDataset, plan: SplitPlan, k: int):
     """Seeded draw k of the test-then-validation split.
 
-    Test takes round(test_frac*N) items; validation takes
-    round(val_frac*remainder); training keeps the rest. Indices are
+    Test takes round(TEST_FRACTION*N) items; validation takes
+    round(VAL_FRACTION*remainder); training keeps the rest. Indices are
     sorted; the draw depends only on (plan.seed, k).
     """
     if not (0 <= k < plan.repeats):
         raise ValueError("repetition index out of range")
     n = data.n_items
     perm = rng_for(plan.seed, "split", k).permutation(n)
-    n_test = int(round(plan.test_frac * n))
-    n_val = int(round(plan.val_frac * (n - n_test)))
+    n_test = int(round(TEST_FRACTION * n))
+    n_val = int(round(VAL_FRACTION * (n - n_test)))
     if n_test < 1 or n_val < 1 or n - n_test - n_val < 1:
-        raise SplitError("dataset too small for the requested fractions")
+        raise SplitError("dataset too small to split")
     test = np.sort(perm[:n_test])
     val = np.sort(perm[n_test : n_test + n_val])
     train = np.sort(perm[n_test + n_val :])

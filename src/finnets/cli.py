@@ -98,17 +98,18 @@ def _config_value(key: str, value, action: argparse.Action):
     """A config-file value checked against its flag.
 
     The value becomes the flag's default, which argparse never checks. A
-    switch takes a JSON bool. A typed flag's value must come back from its
-    `type=` converter equal to itself, so "500" is not an int, 2.5 is not
-    an int and 3 is the float 3.0; bools are never numbers, and null is
-    accepted only where the default is None.
+    switch takes a JSON bool. Every other flag has a `type=` converter,
+    and its value must come back from it equal to itself, so "500" is not
+    an int, 2.5 is not an int, 5 is not a str and 3 is the float 3.0;
+    bools are never numbers, and null is accepted only where the default
+    is None.
     """
     if action.nargs == 0:
         if isinstance(value, bool):
             return value
         raise CliError(f"config key {key!r} must be a JSON bool, got {value!r}")
     convert = action.type
-    if convert is None or (value is None and action.default is None):
+    if value is None and action.default is None:
         return value
     try:
         converted = convert(value)
@@ -220,19 +221,14 @@ def cmd_inspect(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _fractions(value) -> tuple:
-    """`--fractions` as its comma-separated flag text, or as the JSON list
-    of numbers that `config.json` echoes."""
-    if isinstance(value, list):
-        if not all(isinstance(f, (int, float)) and not isinstance(f, bool) for f in value):
-            raise CliError(f"config key 'fractions' must list numbers, got {value!r}")
-        return tuple(float(f) for f in value)
-    if not value:
-        return ()
-    try:
-        return tuple(float(f) for f in str(value).split(",") if f)
-    except ValueError as exc:
-        raise CliError(f"bad --fractions: {exc}") from exc
+def fraction_list(value) -> list:
+    """`--fractions` from its comma-separated flag text, or from the JSON
+    list of numbers that `config.json` echoes."""
+    if isinstance(value, str):
+        return [float(f) for f in value.split(",") if f]
+    if isinstance(value, list) and not any(isinstance(f, bool) for f in value):
+        return [float(f) for f in value]
+    raise ValueError(f"not a list of numbers: {value!r}")
 
 
 def _parse_task(args) -> B.LabeledDataset:
@@ -307,7 +303,7 @@ def cmd_bench(args) -> int:
     try:
         if args.protocol not in ("repeated-random", "leave-subjects-out"):
             raise CliError("--protocol must be repeated-random or leave-subjects-out")
-        fractions = _fractions(args.fractions)
+        fractions = tuple(args.fractions or ())
         data = _parse_task(args)
         cfg = _train_config(args)
         models, search_records = _parse_models(args, data, cfg)
@@ -465,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patience", type=int, default=patience)
 
     p = sub.add_parser("pretrain", help="train a feature regressor on synthetic signals")
-    p.add_argument("--feature")
+    p.add_argument("--feature", type=str)
     p.add_argument("--signals", type=int, default=en.DEFAULT_N_SIGNALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gen-seed", dest="gen_seed", type=int, default=42)
@@ -475,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=sg.DEFAULT_SAMPLE_RATE)
     p.add_argument("--recon-signals", dest="recon_signals", type=int, default=3000)
     add_train_flags(p, max_epochs=60, patience=8)
-    p.add_argument("--out", help="artifact filename")
+    p.add_argument("--out", type=str, help="artifact filename")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--config")
     p.set_defaults(func=cmd_pretrain, parser=p)
@@ -485,11 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("bench", help="run an evaluation protocol")
-    p.add_argument("--task")
-    p.add_argument("--models")
-    p.add_argument("--protocol", default="repeated-random")
+    p.add_argument("--task", type=str)
+    p.add_argument("--models", type=str)
+    p.add_argument("--protocol", type=str, default="repeated-random")
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--fractions")
+    p.add_argument("--fractions", type=fraction_list)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=0.05)
     p.add_argument("--items", type=int, default=1200)

@@ -74,10 +74,11 @@ class FinArtifact:
         object.__setattr__(self, "norm_hi", hi)
 
 
-def split_indices(seed: int, n: int, val_fraction: float = VAL_FRACTION):
-    """Deterministic train/validation index split of range(n)."""
+def split_indices(seed: int, n: int):
+    """Deterministic train/validation index split of range(n); validation
+    takes `VAL_FRACTION` of it."""
     perm = rng_for(seed, "pretrain-split").permutation(n)
-    n_val = int(round(val_fraction * n))
+    n_val = int(round(VAL_FRACTION * n))
     if n_val < 1 or n_val >= n:
         raise ValueError("corpus too small to split")
     return perm[n_val:], perm[:n_val]
@@ -118,29 +119,9 @@ def corpus_inputs(gen: sg.GenSpec, n_signals: int) -> np.ndarray:
     return mags.reshape(n_signals, mags.shape[1] * mags.shape[2])
 
 
-def corpus_targets(
-    feature: str,
-    gen: sg.GenSpec,
-    n_signals: int,
-    config: fe.FeatureConfig = fe.FeatureConfig(),
-) -> np.ndarray:
+def corpus_targets(feature: str, gen: sg.GenSpec, n_signals: int) -> np.ndarray:
     """Raw (unnormalized) oracle values for corpus indices 0..n_signals-1."""
-    return fe.compute_features(
-        corpus_samples(gen, n_signals), gen.sample_rate, feature, config
-    )
-
-
-def build_pretraining_corpus(
-    feature: str,
-    gen: sg.GenSpec,
-    n_signals: int,
-    config: fe.FeatureConfig = fe.FeatureConfig(),
-):
-    """Materialize (inputs, raw targets) for a feature over a corpus."""
-    return (
-        corpus_inputs(gen, n_signals),
-        corpus_targets(feature, gen, n_signals, config),
-    )
+    return fe.compute_features(corpus_samples(gen, n_signals), gen.sample_rate, feature)
 
 
 def normalization_range(train_targets: np.ndarray):
@@ -159,7 +140,6 @@ def pretrain_fin(
     topology: Topology = None,
     cfg: TrainConfig = TrainConfig(),
     n_signals: int = DEFAULT_N_SIGNALS,
-    config: fe.FeatureConfig = fe.FeatureConfig(),
     corpus=None,
 ) -> FinArtifact:
     """Train a fresh feature regressor on a synthetic corpus.
@@ -170,7 +150,7 @@ def pretrain_fin(
     `corpus` may carry a precomputed (inputs, raw_targets) pair for the
     same `gen` (from the corpus_* helpers), overriding `n_signals`.
     """
-    width = fe.feature_width(feature, config.n_mfcc)
+    width = fe.feature_width(feature)
     if corpus is not None:
         inputs, raw_targets = corpus
         if inputs.shape[0] != raw_targets.shape[0]:
@@ -179,9 +159,8 @@ def pretrain_fin(
             raise ShapeError("corpus targets do not match the feature width")
         n_signals = inputs.shape[0]
     else:
-        inputs, raw_targets = build_pretraining_corpus(
-            feature, gen, n_signals, config
-        )
+        inputs = corpus_inputs(gen, n_signals)
+        raw_targets = corpus_targets(feature, gen, n_signals)
     if topology is None:
         topology = default_fin_topology(inputs.shape[1], width)
     if topology.input_dim != inputs.shape[1]:
@@ -200,7 +179,6 @@ def pretrain_fin(
         (inputs[train_idx], targets[train_idx]),
         (inputs[val_idx], targets[val_idx]),
         cfg,
-        "mse",
     )
     return FinArtifact(
         feature=feature,
@@ -510,7 +488,7 @@ def fine_tune(net, train_xy, val_xy, cfg: TrainConfig):
     elif isinstance(net, DenseNet):
         if net.topology.activations[-1] != "softmax":
             raise ShapeError("classifier net must end in softmax")
-        model = nets.DenseModel(net.copy(), "softmax_ce")
+        model = nets.DenseModel(net.copy())
         n_classes = net.topology.output_dim
         trained = model.net
     else:
@@ -544,11 +522,7 @@ class ReconstructionReport:
     mse: float
 
 
-def reconstruction_report(
-    artifact: FinArtifact,
-    test_signals,
-    config: fe.FeatureConfig = fe.FeatureConfig(),
-) -> ReconstructionReport:
+def reconstruction_report(artifact: FinArtifact, test_signals) -> ReconstructionReport:
     """Compare network outputs against the oracle on fresh signals.
 
     Absolute errors compare clipped predictions with normalized targets,
@@ -564,12 +538,12 @@ def reconstruction_report(
     by_geometry = {}
     for i, signal in enumerate(signals):
         by_geometry.setdefault((len(signal), signal.sample_rate), []).append(i)
-    raw = np.empty((len(signals), fe.feature_width(artifact.feature, config.n_mfcc)))
+    raw = np.empty((len(signals), fe.feature_width(artifact.feature)))
     inputs = np.empty((len(signals), sg.DEFAULT_N_SCALES * sg.DEFAULT_N_FRAMES))
     for (_, fs), rows in by_geometry.items():
         samples = np.stack([signals[i].samples for i in rows])
         try:
-            raw[rows] = fe.compute_features(samples, fs, artifact.feature, config)
+            raw[rows] = fe.compute_features(samples, fs, artifact.feature)
         except Exception as exc:
             # a degenerate row is named; any other failure fails every row
             i = rows[getattr(exc, "row", None) or 0]

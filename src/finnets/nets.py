@@ -13,6 +13,10 @@ in float32. Losses come back as Python floats. `finite_difference_check`
 runs on a float64 copy of the model, because central differences need
 the precision.
 
+The loss is read from the last layer, never passed in: a softmax layer
+trains on cross-entropy against one-hot targets (`softmax_ce`), any
+elementwise layer on mean squared error (`mse`).
+
 The training loop is generic over a small model protocol (`parameters`,
 `loss_and_grads`, `eval_loss`) so the per-channel ensemble networks train
 through the same code path as plain dense networks.
@@ -28,7 +32,6 @@ from .errors import DivergedError, ShapeError
 from .rng import rng_for
 
 ACTIVATIONS = ("relu", "tanh", "linear", "softmax")
-LOSSES = ("mse", "softmax_ce")
 DTYPE = np.float32
 
 
@@ -226,12 +229,16 @@ def loss_value(loss: str, output: np.ndarray, targets: np.ndarray) -> float:
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, loss: str):
-    """Analytic gradients of the mean batch loss.
+def _loss_for(topology: Topology) -> str:
+    """The loss a net trains on: softmax_ce after a softmax, else mse."""
+    return "softmax_ce" if topology.activations[-1] == "softmax" else "mse"
 
-    Returns (grads_w, grads_b, loss_value). softmax_ce requires a softmax
-    final layer and one-hot targets; mse requires an elementwise final
-    activation.
+
+def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray):
+    """Analytic gradients of the mean batch loss the final layer implies.
+
+    Returns (grads_w, grads_b, loss_value). softmax_ce takes one-hot
+    targets.
     """
     dtype = net.weights[0].dtype
     inputs = np.atleast_2d(np.asarray(inputs, dtype=dtype))
@@ -241,11 +248,7 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, loss: str):
     if targets.shape[1] != net.topology.output_dim:
         raise ShapeError("target dim does not match network output")
     acts = net.topology.activations
-    if loss == "softmax_ce" and acts[-1] != "softmax":
-        raise ShapeError("softmax_ce requires a softmax final layer")
-    if loss == "mse" and acts[-1] == "softmax":
-        raise ShapeError("mse through softmax is not supported")
-
+    loss = _loss_for(net.topology)
     output, (pre, post) = forward(net, inputs, want_cache=True)
     batch = inputs.shape[0]
     if loss == "softmax_ce":
@@ -314,17 +317,15 @@ class TrainHistory:
 class DenseModel:
     """Adapter exposing a DenseNet to the generic training loop."""
 
-    def __init__(self, net: DenseNet, loss: str):
-        if loss not in LOSSES:
-            raise ValueError(f"unknown loss {loss!r}")
+    def __init__(self, net: DenseNet):
         self.net = net
-        self.loss = loss
+        self.loss = _loss_for(net.topology)
 
     def parameters(self) -> list:
         return self.net.parameters()
 
     def loss_and_grads(self, inputs, targets):
-        grads_w, grads_b, value = backprop(self.net, inputs, targets, self.loss)
+        grads_w, grads_b, value = backprop(self.net, inputs, targets)
         grads = []
         for gw, gb in zip(grads_w, grads_b):
             grads.extend((gw, gb))
@@ -409,13 +410,13 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
     return history
 
 
-def train(net: DenseNet, train_xy, val_xy, cfg: TrainConfig, loss: str):
+def train(net: DenseNet, train_xy, val_xy, cfg: TrainConfig):
     """Train a copy of `net`, returning (best network, history).
 
     The input network is left untouched; the returned network carries the
     parameters of the epoch with the lowest validation loss.
     """
-    model = DenseModel(net.copy(), loss)
+    model = DenseModel(net.copy())
     history = fit(model, train_xy, val_xy, cfg)
     return model.net, history
 
@@ -504,11 +505,9 @@ def _gradcheck_case(rng: np.random.Generator):
             break
     if use_ce:
         targets = one_hot(rng.integers(0, sizes[-1], size=batch), sizes[-1])
-        loss = "softmax_ce"
     else:
         targets = rng.standard_normal((batch, sizes[-1]))
-        loss = "mse"
-    return net, inputs, targets, loss
+    return net, inputs, targets
 
 
 def gradcheck_suite(n_nets: int = 20, seed: int = 2024, h: float = 1e-5) -> float:
@@ -516,7 +515,6 @@ def gradcheck_suite(n_nets: int = 20, seed: int = 2024, h: float = 1e-5) -> floa
     rng = rng_for(seed, "gradcheck")
     worst = 0.0
     for _ in range(n_nets):
-        net, inputs, targets, loss = _gradcheck_case(rng)
-        model = DenseModel(net, loss)
-        worst = max(worst, finite_difference_check(model, inputs, targets, h))
+        net, inputs, targets = _gradcheck_case(rng)
+        worst = max(worst, finite_difference_check(DenseModel(net), inputs, targets, h))
     return worst

@@ -139,7 +139,7 @@ def test_criterion_02_gradient_correctness():
     net = nets.init_random(nets.Topology((6, 5, 3), ("relu", "linear")), 5)
     x = rng.standard_normal((4, 6))
     y = rng.standard_normal((4, 3))
-    model = nets.DenseModel(net, "mse")
+    model = nets.DenseModel(net)
     control = nets.finite_difference_check(model, x, y, corrupt=True)
     secs = time.perf_counter() - t0
     ok = worst <= 1e-4 and control > 1e-4 and secs <= 60

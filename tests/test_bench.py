@@ -124,13 +124,11 @@ def test_split_plan_validation():
     with pytest.raises(ValueError):
         bench.SplitPlan(mode="bootstrap")
     with pytest.raises(ValueError):
-        bench.SplitPlan(test_frac=0.0)
-    with pytest.raises(ValueError):
-        bench.SplitPlan(test_frac=0.6, val_frac=0.5)
-    with pytest.raises(ValueError):
         bench.SplitPlan(repeats=0)
     with pytest.raises(ValueError):
         bench.SplitPlan(fractions=(0.4, 0.2))
+    with pytest.raises(ValueError):  # a repeat would count its splits twice
+        bench.SplitPlan(fractions=(0.5, 0.5))
     with pytest.raises(ValueError):
         bench.SplitPlan(fractions=(0.2, 1.5))
     with pytest.raises(ValueError):  # a sweep is repeated_random with fractions

@@ -16,7 +16,7 @@ import pytest
 
 import finnets
 from finnets import bench, engine, features, signals
-from finnets.cli import EXIT_CONFIG, build_parser, main
+from finnets.cli import EXIT_CONFIG, _config_actions, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -336,6 +336,18 @@ def test_bench_success_clears_stale_failed_marker(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_rejects_repeated_fractions(tmp_path, capsys):
+    code = main(BENCH_BASE + [
+        "--repeats", "2", "--models", "knn,linear-margin",
+        "--fractions", "0.5,0.5", "--out-dir", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "strictly ascending" in err
+    assert (tmp_path / "FAILED").exists()
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_bench_loso_with_subjects(tmp_path, capsys):
     code = main(BENCH_BASE + [
         "--protocol", "leave-subjects-out", "--subjects", "3",
@@ -505,6 +517,59 @@ def assert_same_tree(a, b):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["pretrain", "bench"])
+def test_every_config_key_is_checked(command):
+    parser = build_parser().parse_args([command]).parser
+    for key, action in _config_actions(parser).items():
+        assert action.nargs == 0 or action.type is not None, key
+
+
+def test_config_text_values_are_checked(tmp_path, capsys):
+    commands = {
+        "bench": ["bench", "--items", "60", "--repeats", "2", "--seed", "1"],
+        "pretrain": ["pretrain", "--signals", "100", "--max-epochs", "1",
+                     "--patience", "1", "--recon-signals", "2"],
+    }
+    good = {
+        "bench": {"task": "feature-threshold:entropy", "models": "knn",
+                  "protocol": "repeated-random", "fractions": [0.5, 1]},
+        "pretrain": {"feature": "entropy", "out": "x.fin"},
+    }
+
+    def run(name, command, doc):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(commands[command] + ["--config", str(cfg),
+                                         "--out-dir", str(tmp_path / name)])
+        return code, capsys.readouterr()
+
+    wrong = [
+        ("bench", "models", 5),
+        ("bench", "task", ["feature-threshold:entropy"]),
+        ("bench", "protocol", None),
+        ("bench", "fractions", 0.5),
+        ("bench", "fractions", ["0.5"]),
+        ("bench", "fractions", [True]),
+        ("pretrain", "out", 5),
+        ("pretrain", "feature", 3),
+    ]
+    for i, (command, key, value) in enumerate(wrong):
+        code, out = run(f"bad{i}", command, {**good[command], key: value})
+        assert code == EXIT_CONFIG, (key, value, out.err)
+        assert f"error: config key {key!r}" in out.err, out.err
+        assert "Traceback" not in out.err
+        assert not (tmp_path / f"bad{i}" / "runs.csv").exists()
+        assert not (tmp_path / f"bad{i}" / "x.fin").exists()
+    # positive controls: the same keys with values of their flags' types
+    code, out = run("good_bench", "bench", good["bench"])
+    assert code == 0, out.err
+    echoed = json.loads((tmp_path / "good_bench" / "config.json").read_text())
+    assert echoed["fractions"] == [0.5, 1.0] and echoed["models"] == "knn"
+    code, out = run("good_pretrain", "pretrain", good["pretrain"])
+    assert code == 0, out.err
+    assert (tmp_path / "good_pretrain" / "x.fin").exists()
 
 
 def test_bench_replays_from_its_config_json(tmp_path, capsys):

@@ -119,7 +119,10 @@ def test_pretrain_produces_valid_artifact(tiny_artifact):
 
 
 def test_pretrain_with_prebuilt_corpus_is_identical(tiny_artifact):
-    corpus = engine.build_pretraining_corpus("entropy", TINY_GEN, 300)
+    corpus = (
+        engine.corpus_inputs(TINY_GEN, 300),
+        engine.corpus_targets("entropy", TINY_GEN, 300),
+    )
     art = engine.pretrain_fin(
         "entropy", TINY_GEN, topology=TINY_TOPOLOGY, cfg=TINY_CFG, corpus=corpus
     )

@@ -89,24 +89,27 @@ def test_backprop_matches_finite_differences():
     mse_net = nets.init_random(nets.Topology((3, 5, 2), ("relu", "linear")), 7)
     x = rng.standard_normal((6, 3))
     y = rng.standard_normal((6, 2))
-    assert nets.finite_difference_check(nets.DenseModel(mse_net, "mse"), x, y) < 1e-6
+    assert nets.finite_difference_check(nets.DenseModel(mse_net), x, y) < 1e-6
 
     ce_net = nets.init_random(nets.Topology((3, 4, 3), ("tanh", "softmax")), 8)
     labels = nets.one_hot(rng.integers(0, 3, size=6), 3)
-    ce_model = nets.DenseModel(ce_net, "softmax_ce")
+    ce_model = nets.DenseModel(ce_net)
     assert nets.finite_difference_check(ce_model, x, labels) < 1e-6
 
 
 def test_backprop_shape_errors():
     ce_net = nets.init_random(nets.Topology((3, 4, 2), ("tanh", "softmax")), 0)
-    mse_net = nets.init_random(tiny_topology(), 0)
     x = np.ones((4, 3))
     with pytest.raises(ShapeError):
-        nets.backprop(mse_net, x, np.ones((4, 2)), "softmax_ce")
-    with pytest.raises(ShapeError):
-        nets.backprop(ce_net, x, np.ones((4, 2)), "mse")
-    with pytest.raises(ShapeError):
-        nets.backprop(ce_net, x, np.ones((3, 2)), "softmax_ce")
+        nets.backprop(ce_net, x, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("final, loss", [
+    ("softmax", "softmax_ce"), ("linear", "mse"), ("tanh", "mse"),
+])
+def test_loss_follows_the_last_layer(final, loss):
+    net = nets.init_random(nets.Topology((3, 4, 2), ("relu", final)), 0)
+    assert nets.DenseModel(net).loss == loss
 
 
 def test_training_stays_float32_on_float64_data():
@@ -116,13 +119,13 @@ def test_training_stays_float32_on_float64_data():
     net = nets.init_random(tiny_topology(), 3)
     assert all(p.dtype == np.float32 for p in net.parameters())
     cfg = nets.TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
-    best, hist = nets.train(net, (x[:32], y[:32]), (x[32:], y[32:]), cfg, "mse")
+    best, hist = nets.train(net, (x[:32], y[:32]), (x[32:], y[32:]), cfg)
     assert all(p.dtype == np.float32 for p in best.parameters())
     assert nets.forward(best, x).dtype == np.float32
     assert all(type(v) is float for v in hist.train_losses + hist.val_losses)
     ce_net = nets.init_random(nets.Topology((3, 4, 2), ("tanh", "softmax")), 1)
     targets = nets.one_hot(rng.integers(0, 2, size=8), 2)
-    value, grads = nets.DenseModel(ce_net, "softmax_ce").loss_and_grads(x[:8], targets)
+    value, grads = nets.DenseModel(ce_net).loss_and_grads(x[:8], targets)
     assert type(value) is float
     assert all(g.dtype == np.float32 for g in grads)
 
@@ -131,7 +134,7 @@ def test_gradcheck_runs_on_a_float64_copy():
     net = nets.init_random(nets.Topology((3, 5, 2), ("tanh", "linear")), 7)
     before = [p.copy() for p in net.parameters()]
     rng = rng_for(5, "copy")
-    model = nets.DenseModel(net, "mse")
+    model = nets.DenseModel(net)
     x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
     # float32 central differences at h=1e-5 would miss this by orders
     assert nets.finite_difference_check(model, x, y) < 1e-6
@@ -146,7 +149,7 @@ def test_gradcheck_suite_passes_and_control_fails():
     net = nets.init_random(nets.Topology((3, 4, 2), ("relu", "linear")), 5)
     x = rng.standard_normal((4, 3))
     y = rng.standard_normal((4, 2))
-    model = nets.DenseModel(net, "mse")
+    model = nets.DenseModel(net)
     assert nets.finite_difference_check(model, x, y, corrupt=True) > 1e-4
 
 
@@ -176,7 +179,7 @@ def test_training_converges_on_linear_regression():
     y = x @ np.array([[2.0], [-1.0]]) + 0.5
     net = nets.init_random(nets.Topology((2, 1), ("linear",)), 3)
     cfg = nets.TrainConfig(learning_rate=0.05, max_epochs=60, patience=60, seed=1)
-    best, hist = nets.train(net, (x[:200], y[:200]), (x[200:], y[200:]), cfg, "mse")
+    best, hist = nets.train(net, (x[:200], y[:200]), (x[200:], y[200:]), cfg)
     assert hist.best_val_loss < 1e-3
     assert hist.best_val_loss <= hist.val_losses[0]
     got = nets.forward(best, np.eye(2))
@@ -190,8 +193,8 @@ def test_train_is_deterministic_and_preserves_input_net():
     net = nets.init_random(tiny_topology(), 11)
     before = [w.copy() for w in net.weights]
     cfg = nets.TrainConfig(max_epochs=5, patience=5, batch_size=16, seed=4)
-    a, _ = nets.train(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg, "mse")
-    b, _ = nets.train(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg, "mse")
+    a, _ = nets.train(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
+    b, _ = nets.train(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
     for w0, w1 in zip(before, net.weights):
@@ -209,7 +212,7 @@ def test_early_stopping_restores_best_epoch():
     cfg = nets.TrainConfig(
         learning_rate=0.3, batch_size=4, max_epochs=200, patience=5, seed=9
     )
-    best, hist = nets.train(net, (x, y), (xv, yv), cfg, "mse")
+    best, hist = nets.train(net, (x, y), (xv, yv), cfg)
     assert hist.stopped_epoch < 200
     assert hist.best_epoch <= hist.stopped_epoch
     assert hist.best_val_loss == min(hist.val_losses)
@@ -225,7 +228,7 @@ def test_divergence_raises_with_epoch():
     net = nets.init_random(nets.Topology((3, 8, 1), ("relu", "linear")), 0)
     cfg = nets.TrainConfig(learning_rate=50.0, max_epochs=30, patience=30, seed=0)
     with pytest.raises(DivergedError) as err:
-        nets.train(net, (x, y), (x, y), cfg, "mse")
+        nets.train(net, (x, y), (x, y), cfg)
     assert isinstance(err.value.epoch, int)
 
 
