@@ -17,7 +17,7 @@ penultimate representation instead of the imitated feature.
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -202,10 +202,11 @@ def _canonical_json(obj) -> str:
 
 
 def _pack_weights(net: DenseNet) -> str:
-    """Layer-by-layer f32 payload: each weight matrix row-major, then bias."""
+    """Layer-by-layer f32 payload: each weight matrix as (out, in),
+    row-major (transposed from memory), then its bias."""
     chunks = []
     for w, b in zip(net.weights, net.biases):
-        chunks.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
+        chunks.append(np.ascontiguousarray(w.T, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     return base64.b64encode(b"".join(chunks)).decode("ascii")
 
@@ -280,7 +281,7 @@ def load_fin(path) -> FinArtifact:
         raise CorruptArtifact("gen_spec_digest must be a 64-char hex string")
 
     sizes = topo.layer_sizes
-    expected = sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
+    expected = nets.count_params(topo)
     if len(payload) != 4 * expected:
         raise CorruptArtifact(
             f"weight payload holds {len(payload)} bytes, expected {4 * expected}"
@@ -289,9 +290,9 @@ def load_fin(path) -> FinArtifact:
     weights, biases, cursor = [], [], 0
     for i in range(len(sizes) - 1):
         o, n = sizes[i + 1], sizes[i]
-        weights.append(flat[cursor : cursor + o * n].reshape(o, n).copy())
+        weights.append(flat[cursor : cursor + o * n].reshape(o, n).T)
         cursor += o * n
-        biases.append(flat[cursor : cursor + o].copy())
+        biases.append(flat[cursor : cursor + o])
         cursor += o
     try:
         return FinArtifact(
@@ -313,8 +314,8 @@ def load_fin(path) -> FinArtifact:
 def attach_head(artifact: FinArtifact, n_classes: int, seed: int) -> DenseNet:
     """Swap the regression layer for a fresh softmax classification head.
 
-    Retained layers are bit-identical copies of the artifact's; only the
-    new head depends on the seed.
+    Retained layers are bit-identical copies of the artifact's (the
+    constructor copies them); only the new head depends on the seed.
     """
     if n_classes < 2:
         raise ValueError("need at least two classes")
@@ -324,9 +325,9 @@ def attach_head(artifact: FinArtifact, n_classes: int, seed: int) -> DenseNet:
     sizes = body.topology.layer_sizes[:-1] + (n_classes,)
     acts = body.topology.activations[:-1] + ("softmax",)
     rng = rng_for(seed, "head")
-    head_w = nets.glorot_uniform(rng, n_classes, sizes[-2])
-    weights = [w.copy() for w in body.weights[:-1]] + [head_w]
-    biases = [b.copy() for b in body.biases[:-1]] + [np.zeros(n_classes)]
+    head_w = nets.glorot_uniform(rng, n_classes, sizes[-2]).T
+    weights = body.weights[:-1] + [head_w]
+    biases = body.biases[:-1] + [np.zeros(n_classes)]
     return DenseNet(Topology(sizes, acts), weights, biases)
 
 
@@ -338,8 +339,14 @@ class EnsembleNet:
     channel; branch outputs are concatenated branch-major then
     channel-major, and the head maps that vector to class probabilities.
     Branches share weights across channels, so fine-tuning accumulates
-    their gradients over all channels. The head is stored as `nets.DTYPE`,
-    like the branches.
+    their gradients over all channels.
+
+    Like `DenseNet`, the constructor copies every parameter into one flat
+    buffer (`nets.DTYPE` unless `buffer` is given): each branch in turn,
+    then the head weights and bias. The branches are `DenseNet`s over
+    their blocks of it. The head keeps the (class_count, width) shape it
+    is built with: its products are only class_count wide, so its layout
+    does not set the step's speed.
     """
 
     branches: list
@@ -347,10 +354,10 @@ class EnsembleNet:
     head_w: np.ndarray
     head_b: np.ndarray
     class_count: int
+    buffer: np.ndarray = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        self.head_w = np.asarray(self.head_w, dtype=nets.DTYPE)
-        self.head_b = np.asarray(self.head_b, dtype=nets.DTYPE)
+        head_w, head_b = np.asarray(self.head_w), np.asarray(self.head_b)
         if not self.branches:
             raise ValueError("ensemble needs at least one branch")
         if self.n_channels < 1:
@@ -358,13 +365,26 @@ class EnsembleNet:
         in_dims = {b.topology.input_dim for b in self.branches}
         if len(in_dims) != 1:
             raise ShapeError("branch input dims must all agree")
-        width = self.n_channels * sum(b.topology.output_dim for b in self.branches)
-        if self.head_w.shape != (self.class_count, width):
+        width = self.head_input_dim
+        if head_w.shape != (self.class_count, width):
             raise ShapeError(
-                f"head expects input dim {width}, got {self.head_w.shape}"
+                f"head expects input dim {width}, got {head_w.shape}"
             )
-        if self.head_b.shape != (self.class_count,):
+        if head_b.shape != (self.class_count,):
             raise ShapeError("head bias shape mismatch")
+        size = sum(b.buffer.size for b in self.branches) + head_w.size + head_b.size
+        self.buffer = nets.parameter_buffer(size, self.buffer)
+        *blocks, self.head_w, self.head_b = self._layout(self.buffer)
+        self.branches = [b.copy(block) for b, block in zip(self.branches, blocks)]
+        self.head_w[...] = head_w
+        self.head_b[...] = head_b
+
+    def _layout(self, buffer: np.ndarray) -> list:
+        """Views of a flat buffer laid out like `self.buffer`: one block
+        per branch, then the head weights and bias."""
+        shapes = [(b.buffer.size,) for b in self.branches]
+        shapes += [(self.class_count, self.head_input_dim), (self.class_count,)]
+        return nets.flat_views(buffer, shapes)
 
     @property
     def input_dim(self) -> int:
@@ -372,7 +392,7 @@ class EnsembleNet:
 
     @property
     def head_input_dim(self) -> int:
-        return self.head_w.shape[1]
+        return self.n_channels * sum(b.topology.output_dim for b in self.branches)
 
     def parameters(self) -> list:
         out = []
@@ -381,14 +401,20 @@ class EnsembleNet:
         out.extend((self.head_w, self.head_b))
         return out
 
-    def copy(self) -> "EnsembleNet":
+    def copy(self, buffer=None) -> "EnsembleNet":
+        """An independent copy, in `buffer` if one is given."""
         return EnsembleNet(
-            [b.copy() for b in self.branches],
+            self.branches,
             self.n_channels,
-            self.head_w.copy(),
-            self.head_b.copy(),
+            self.head_w,
+            self.head_b,
             self.class_count,
+            buffer=buffer,
         )
+
+    def __deepcopy__(self, memo) -> "EnsembleNet":
+        # as for DenseNet: the copy's parameters must view its own buffer
+        return self.copy(np.empty_like(self.buffer))
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.head_w.dtype)
@@ -423,30 +449,34 @@ class EnsembleNet:
         """Class probabilities, shape (batch, class_count)."""
         return nets._softmax(self.logits(x))
 
-    def loss_and_grads(self, x: np.ndarray, targets: np.ndarray):
+    def loss_and_grads(self, x: np.ndarray, targets: np.ndarray, grad=None):
+        """(loss, gradient buffer); the gradients are written into `grad`,
+        laid out like `self.buffer` (a new one when None)."""
         x = self._check_input(x)
         targets = np.atleast_2d(np.asarray(targets, dtype=self.head_w.dtype))
         batch = x.shape[0]
+        if grad is None:
+            grad = np.empty_like(self.buffer)
+        *grad_blocks, grad_head_w, grad_head_b = self._layout(grad)
         concat, caches = self._forward_cached(x)
         logits = concat @ self.head_w.T + self.head_b
         value = nets.loss_value("softmax_ce", logits, targets)
         delta = (nets._softmax(logits) - targets) / batch
 
-        grads = []
         d_concat = delta @ self.head_w
         offset = 0
-        for branch, (pre, post) in zip(self.branches, caches):
+        for branch, grad_block, (pre, post) in zip(self.branches, grad_blocks, caches):
             width = branch.topology.output_dim
             block = d_concat[:, offset : offset + self.n_channels * width]
             offset += self.n_channels * width
             d_out = block.reshape(batch * self.n_channels, width)
             acts = branch.topology.activations
             d_final = nets._activation_delta(acts[-1], pre[-1], post[-1], d_out)
-            gw, gb = nets.backward_stack(branch.weights, acts, pre, post, d_final)
-            for w, b in zip(gw, gb):
-                grads.extend((w, b))
-        grads.extend((delta.T @ concat, delta.sum(axis=0)))
-        return value, grads
+            grads_w, grads_b = branch.layer_views(grad_block)
+            nets.backward_stack(branch.weights, acts, pre, post, d_final, grads_w, grads_b)
+        np.matmul(delta.T, concat, out=grad_head_w)
+        np.sum(delta, axis=0, out=grad_head_b)
+        return value, grad
 
     def eval_loss(self, x: np.ndarray, targets: np.ndarray) -> float:
         return nets.loss_value("softmax_ce", self.logits(x), targets)
@@ -467,7 +497,7 @@ def build_ensemble(
     in_dims = {a.net.topology.input_dim for a in artifacts}
     if len(in_dims) != 1:
         raise ShapeError("artifact input dims must all agree")
-    branches = [a.net.copy() for a in artifacts]
+    branches = [a.net for a in artifacts]
     head_in = n_channels * sum(b.topology.output_dim for b in branches)
     rng = rng_for(seed, "ensemble-head")
     head_w = nets.glorot_uniform(rng, n_classes, head_in)

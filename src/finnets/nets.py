@@ -6,23 +6,31 @@ are deliberately small and simple.
 
 Networks train and infer in float32 (`DTYPE`), the dtype `.fin` stores,
 so a saved and reloaded net is the trained one exactly. Arrays cross into
-float32 once: `DenseNet` casts its parameters on construction, `fit`
-casts its training arrays once per run, and `forward_stack` (under
-`forward`) and `backprop` cast their inputs, a no-op for arrays already
-in float32. Losses come back as Python floats. `finite_difference_check`
-runs on a float64 copy of the model, because central differences need
-the precision.
+float32 once: the `DenseNet` constructor copies its parameters into a
+float32 buffer, `fit` casts its training arrays once per run, and
+`forward_stack` (under `forward`) and `backprop` cast their inputs, a
+no-op for arrays already in float32. Losses come back as Python floats.
+`finite_difference_check` runs on a float64 copy of the model, rebuilt
+through the model's constructor on a float64 buffer, because central
+differences need the precision.
+
+Weights are stored (in, out), so a layer computes `a @ w + b` and its
+weight gradient is `a.T @ delta`. A model's parameters are views of one
+flat buffer (`DenseNet.buffer`, laid out [W0, b0, W1, b1, ...]), its
+gradients are written in place into a buffer of the same layout, and
+`fit` updates the whole model with one `sgd_update` call per step.
 
 The loss is read from the last layer, never passed in: a softmax layer
 trains on cross-entropy against one-hot targets (`softmax_ce`), any
 elementwise layer on mean squared error (`mse`).
 
-The training loop is generic over a small model protocol (`parameters`,
-`loss_and_grads`, `eval_loss`) so the per-channel ensemble networks train
-through the same code path as plain dense networks.
+The training loop is generic over a small model protocol (`buffer`,
+`parameters`, `loss_and_grads`, `eval_loss`, `copy`) so the per-channel
+ensemble networks train through the same code path as plain dense
+networks.
 """
 
-import copy
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,28 +80,65 @@ def count_params(topology: Topology) -> int:
     return sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
+def parameter_buffer(size: int, buffer=None) -> np.ndarray:
+    """`buffer` if it is a flat array of `size` entries, a new `DTYPE`
+    one if it is None."""
+    if buffer is None:
+        return np.empty(size, dtype=DTYPE)
+    if buffer.shape != (size,):
+        raise ShapeError(f"parameter buffer must have shape ({size},), got {buffer.shape}")
+    return buffer
+
+
+def flat_views(buffer: np.ndarray, shapes) -> list:
+    """Consecutive C-order views of a flat buffer, one per shape."""
+    views, cursor = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[cursor : cursor + size].reshape(shape))
+        cursor += size
+    return views
+
+
 @dataclass
 class DenseNet:
-    """A stack of affine layers; weights are (out, in), biases (out,).
+    """A stack of affine layers; weights are (in, out), biases (out,).
 
-    Parameters are stored as `DTYPE`; arrays of another dtype are cast.
+    The constructor is the one float32 boundary: it copies the given
+    weights and biases, cast to `DTYPE`, into one flat buffer laid out
+    [W0, b0, W1, b1, ...], and `weights`/`biases` are views of it. With
+    `buffer` given, the parameters are copied into that flat array
+    instead, in its dtype: an ensemble places its branches in its own
+    buffer that way, and gradcheck builds its float64 copy.
     """
 
     topology: Topology
     weights: list
     biases: list
+    buffer: np.ndarray = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        self.weights = [np.asarray(w, dtype=DTYPE) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=DTYPE) for b in self.biases]
         sizes = self.topology.layer_sizes
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ShapeError("layer count mismatch")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
-                raise ShapeError(f"layer {i} parameter shape mismatch")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} parameters must be finite")
+        given = self.parameters()
+        self.buffer = parameter_buffer(count_params(self.topology), self.buffer)
+        self.weights, self.biases = self.layer_views(self.buffer)
+        for k, (view, array) in enumerate(zip(self.parameters(), given)):
+            array = np.asarray(array)
+            if array.shape != view.shape:
+                raise ShapeError(f"layer {k // 2} parameter shape mismatch")
+            view[...] = array
+            if not np.all(np.isfinite(view)):
+                raise ValueError(f"layer {k // 2} parameters must be finite")
+
+    def layer_views(self, buffer: np.ndarray):
+        """(weights, biases) views of a flat array laid out like this
+        net's buffer, such as a gradient buffer."""
+        sizes = self.topology.layer_sizes
+        shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
+        views = flat_views(buffer, shapes)
+        return views[0::2], views[1::2]
 
     def parameters(self) -> list:
         """Live parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
@@ -102,34 +147,43 @@ class DenseNet:
             out.extend((w, b))
         return out
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            self.topology,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+    def copy(self, buffer=None) -> "DenseNet":
+        """An independent copy, in `buffer` if one is given."""
+        return DenseNet(self.topology, self.weights, self.biases, buffer=buffer)
+
+    def __deepcopy__(self, memo) -> "DenseNet":
+        # copying field by field would leave the weights and biases
+        # separate arrays, no longer views of the copy's buffer
+        return self.copy(np.empty_like(self.buffer))
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+    """An (out_dim, in_dim) Glorot-uniform draw; transpose it for a layer."""
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
 def init_random(topology: Topology, seed: int) -> DenseNet:
-    """Glorot-uniform weights, zero biases, deterministic in the seed."""
+    """Glorot-uniform weights, zero biases, deterministic in the seed.
+
+    Each layer draws (out, in) and is transposed, so a seed gives the same
+    values whatever the storage layout.
+    """
     rng = rng_for(seed, "init")
     sizes = topology.layer_sizes
     weights = [
-        glorot_uniform(rng, sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)
+        glorot_uniform(rng, sizes[i + 1], sizes[i]).T for i in range(len(sizes) - 1)
     ]
     biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
     return DenseNet(topology, weights, biases)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax, normalised in float64 and rounded once to z's dtype,
+    so a probability does not carry float32 exp and division errors."""
+    z64 = z.astype(np.float64)
+    e = np.exp(z64 - z64.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)).astype(z.dtype)
 
 
 def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
@@ -165,30 +219,29 @@ def forward_stack(weights, biases, activations, batch: np.ndarray):
     pre, post = [], [batch]
     a = np.asarray(batch, dtype=weights[0].dtype)
     for w, b, tag in zip(weights, biases, activations):
-        z = a @ w.T + b
+        z = a @ w
+        z += b
         a = _apply_activation(tag, z)
         pre.append(z)
         post.append(a)
     return pre, post
 
 
-def backward_stack(weights, activations, pre, post, delta):
-    """Gradients for a raw layer stack.
+def backward_stack(weights, activations, pre, post, delta, grads_w, grads_b):
+    """Gradients for a raw layer stack, written in place.
 
-    `delta` is the loss gradient at the final pre-activation. Returns
-    (grads_w, grads_b) in layer order.
+    `delta` is the loss gradient at the final pre-activation. Layer k's
+    gradients go into `grads_w[k]` and `grads_b[k]`, arrays shaped like
+    its weights and bias (in training, views of a gradient buffer).
     """
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = delta.T @ post[layer]
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(post[layer].T, delta, out=grads_w[layer])
+        np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
-            upstream = delta @ weights[layer]
+            upstream = delta @ weights[layer].T
             delta = _activation_delta(
                 activations[layer - 1], pre[layer - 1], post[layer], upstream
             )
-    return grads_w, grads_b
 
 
 def forward(net: DenseNet, x: np.ndarray, want_cache: bool = False):
@@ -234,11 +287,12 @@ def _loss_for(topology: Topology) -> str:
     return "softmax_ce" if topology.activations[-1] == "softmax" else "mse"
 
 
-def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray):
+def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, grad=None):
     """Analytic gradients of the mean batch loss the final layer implies.
 
-    Returns (grads_w, grads_b, loss_value). softmax_ce takes one-hot
-    targets.
+    The gradients are written into `grad`, a flat buffer laid out like
+    `net.buffer` (a new one when None). Returns (grad, loss_value).
+    softmax_ce takes one-hot targets.
     """
     dtype = net.weights[0].dtype
     inputs = np.atleast_2d(np.asarray(inputs, dtype=dtype))
@@ -259,24 +313,26 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray):
         upstream = 2.0 * (output - targets) / output.size
         delta = _activation_delta(acts[-1], pre[-1], post[-1], upstream)
 
-    grads_w, grads_b = backward_stack(net.weights, acts, pre, post, delta)
-    return grads_w, grads_b, value
+    if grad is None:
+        grad = np.empty_like(net.buffer)
+    grads_w, grads_b = net.layer_views(grad)
+    backward_stack(net.weights, acts, pre, post, delta, grads_w, grads_b)
+    return grad, value
 
 
 def sgd_update(params: list, grads: list, velocity: list, lr: float, momentum: float):
     """In-place momentum step: v <- momentum*v - lr*g; p <- p + v.
 
-    The gradients are consumed: each is scaled by `lr` in place.
+    Takes matching sequences of arrays. `fit` passes one of each, the
+    model's whole parameter, gradient and velocity buffers, so this runs
+    once per model per step. The gradients are consumed: each is scaled
+    by `lr` in place.
     """
     for p, g, v in zip(params, grads, velocity):
         g *= lr
         v *= momentum
         v -= g
         p += v
-
-
-def zero_velocity(params: list) -> list:
-    return [np.zeros_like(p) for p in params]
 
 
 @dataclass(frozen=True)
@@ -321,15 +377,20 @@ class DenseModel:
         self.net = net
         self.loss = _loss_for(net.topology)
 
+    @property
+    def buffer(self) -> np.ndarray:
+        return self.net.buffer
+
     def parameters(self) -> list:
         return self.net.parameters()
 
-    def loss_and_grads(self, inputs, targets):
-        grads_w, grads_b, value = backprop(self.net, inputs, targets)
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend((gw, gb))
-        return value, grads
+    def copy(self, buffer=None) -> "DenseModel":
+        return DenseModel(self.net.copy(buffer))
+
+    def loss_and_grads(self, inputs, targets, grad=None):
+        """(loss, gradient buffer); the gradients go into `grad` if given."""
+        grad, value = backprop(self.net, inputs, targets, grad)
+        return value, grad
 
     def eval_loss(self, inputs, targets) -> float:
         if self.loss == "softmax_ce":
@@ -342,7 +403,7 @@ def _forward_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass stopping before a final softmax."""
     a = np.atleast_2d(np.asarray(x, dtype=net.weights[0].dtype))
     for w, b, tag in zip(net.weights, net.biases, net.topology.activations):
-        z = a @ w.T + b
+        z = a @ w + b
         a = z if tag == "softmax" else _apply_activation(tag, z)
     return a
 
@@ -357,20 +418,22 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
 
     Inputs and training targets are cast once to the parameters' dtype.
     Validation targets are kept as given, so the validation loss is
-    measured against them exactly.
+    measured against them exactly. Each step writes the gradients into
+    one buffer and updates the model's whole parameter buffer at once.
     """
-    params = model.parameters()
-    dtype = params[0].dtype
+    params = model.buffer
+    dtype = params.dtype
     train_x, train_t = (np.asarray(a, dtype=dtype) for a in train_xy)
     val_x, val_t = np.asarray(val_xy[0], dtype=dtype), val_xy[1]
     n = len(train_x)
     if n == 0 or len(val_x) == 0:
         raise ValueError("training and validation sets must be non-empty")
 
-    velocity = zero_velocity(params)
+    grad = np.empty_like(params)
+    velocity = np.zeros_like(params)
+    best_params = np.empty_like(params)
     history = TrainHistory()
     best_val = np.inf
-    best_params = None
     bad_epochs = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -379,10 +442,10 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
         total, seen = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            value, grads = model.loss_and_grads(train_x[idx], train_t[idx])
+            value, _ = model.loss_and_grads(train_x[idx], train_t[idx], grad)
             if not np.isfinite(value):
                 raise DivergedError(epoch)
-            sgd_update(params, grads, velocity, cfg.learning_rate, cfg.momentum)
+            sgd_update([params], [grad], [velocity], cfg.learning_rate, cfg.momentum)
             total += value * idx.size
             seen += idx.size
         train_loss = total / seen
@@ -398,15 +461,14 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best_params[...] = params
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
 
-    for p, best in zip(params, best_params):
-        p[...] = best
+    params[...] = best_params
     return history
 
 
@@ -441,46 +503,42 @@ def finite_difference_check(
 ) -> float:
     """Max relative error between backprop and central finite differences.
 
-    `model` follows the training protocol (`parameters`, `loss_and_grads`,
-    `eval_loss`), so dense and ensemble networks are checked alike. The
-    check runs on a float64 copy of `model`, which is left untouched. With
-    `corrupt` set, the largest entry of the first analytic gradient is
-    perturbed before comparison; this negative control must make the
-    check fail.
+    `model` follows the training protocol (`buffer`, `parameters`,
+    `loss_and_grads`, `eval_loss`, `copy`), so dense and ensemble networks
+    are checked alike. The check runs on a float64 copy of `model`, which
+    is left untouched. With `corrupt` set, the largest entry of the first
+    parameter's analytic gradient is perturbed before comparison; this
+    negative control must make the check fail.
     """
     model = _float64_copy(model)
     _, analytic = model.loss_and_grads(inputs, targets)
     if corrupt:
-        first = analytic[0]
-        pos = np.unravel_index(np.argmax(np.abs(first)), first.shape)
-        first[pos] = first[pos] * 1.5 + 1e-2
+        first = analytic[: model.parameters()[0].size]
+        i = np.argmax(np.abs(first))
+        first[i] = first[i] * 1.5 + 1e-2
 
+    params = model.buffer
     max_rel = 0.0
-    for param, grad in zip(model.parameters(), analytic):
-        flat_p = param.ravel()
-        flat_g = grad.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = model.eval_loss(inputs, targets)
-            flat_p[i] = orig - h
-            down = model.eval_loss(inputs, targets)
-            flat_p[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            rel = abs(flat_g[i] - numeric) / max(abs(flat_g[i]), abs(numeric), 1e-8)
-            max_rel = max(max_rel, rel)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        up = model.eval_loss(inputs, targets)
+        params[i] = orig - h
+        down = model.eval_loss(inputs, targets)
+        params[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
+        max_rel = max(max_rel, rel)
     return max_rel
 
 
 def _float64_copy(model):
-    """Deep copy of a training-protocol model with float64 parameters.
+    """A training-protocol model's copy on one float64 buffer.
 
-    Every parameter array is pre-seeded in deepcopy's memo with its
-    float64 copy, so this works for any model structure. deepcopy does not
-    rerun constructors, so `DenseNet`'s cast to `DTYPE` does not apply.
+    The copy is rebuilt through the model's constructor, so its parameters
+    are views of that buffer as in the original.
     """
-    memo = {id(p): p.astype(np.float64) for p in model.parameters()}
-    return copy.deepcopy(model, memo)
+    return model.copy(np.empty(model.buffer.size, dtype=np.float64))
 
 
 def _gradcheck_case(rng: np.random.Generator):

@@ -728,6 +728,22 @@ def test_console_script_entry_point(tmp_path):
     assert "usage: fin" in proc.stderr, proc.stderr
 
 
+def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    entry_point = declared_console_script("fin")
+    saved = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        proc = run_console_script(entry_point, [
+            "pretrain", "--feature", "entropy", "--signals", "600",
+            "--max-epochs", "3", "--patience", "3", "--recon-signals", "50",
+            "--out", "ent.fin", "--out-dir", str(out),
+        ], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        saved.append((out / "ent.fin").read_bytes())
+    assert saved[0] == saved[1]
+
+
 @pytest.mark.skipif(shutil.which("fin") is None,
                     reason="fin console script not installed on PATH")
 def test_installed_fin_on_path():

@@ -1,5 +1,6 @@
 """Pretraining, artifact persistence, head transfer, and ensembles."""
 
+import base64
 import json
 import sys
 import threading
@@ -211,6 +212,32 @@ def test_save_load_resave_byte_identical(tiny_artifact, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert loaded.feature == tiny_artifact.feature
     np.testing.assert_array_equal(loaded.norm_lo, tiny_artifact.norm_lo)
+
+
+def test_fin_payload_is_out_in_row_major(tmp_path):
+    # (out, in) matrices as the file stores them; the net holds (in, out)
+    out_in = [np.arange(12.0).reshape(4, 3), 12.0 + np.arange(8.0).reshape(2, 4)]
+    biases = [-1.0 - np.arange(4.0), np.array([-5.0, -6.0])]
+    net = nets.DenseNet(
+        nets.Topology((3, 4, 2), ("relu", "linear")), [m.T for m in out_in], biases
+    )
+    art = engine.FinArtifact(
+        "entropy", net, np.zeros(2), np.ones(2), "0" * 64,
+        {"best_val_loss": 0.1, "epochs": 1},
+    )
+    first, second = tmp_path / "a.fin", tmp_path / "b.fin"
+    engine.save_fin(art, first)
+    payload = base64.b64decode(json.loads(first.read_text())["weights"])
+    np.testing.assert_array_equal(
+        np.frombuffer(payload, dtype="<f4"),
+        np.concatenate([out_in[0].ravel(), biases[0], out_in[1].ravel(), biases[1]]),
+    )
+    loaded = engine.load_fin(first)
+    engine.save_fin(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for back, w in zip(loaded.net.weights, net.weights):
+        assert back.shape == w.shape
+        np.testing.assert_array_equal(back, w)
 
 
 def test_loaded_fin_is_the_trained_net(tiny_artifact, tmp_path):

@@ -47,7 +47,7 @@ def test_init_random_deterministic_and_bounded():
     )
     for w, (fan_out, fan_in) in zip(a.weights, ((6, 8), (3, 6))):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        assert w.shape == (fan_out, fan_in)
+        assert w.shape == (fan_in, fan_out)
         assert np.abs(w).max() <= limit
     for bias in a.biases:
         np.testing.assert_array_equal(bias, 0.0)
