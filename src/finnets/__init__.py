@@ -36,16 +36,9 @@ from .errors import (
 )
 from .features import (
     FEATURE_NAMES,
-    FeatureConfig,
     Signal,
     compute_feature,
     feature_width,
-    fundamental_frequency,
-    kurtosis,
-    mfcc,
-    regularity,
-    shannon_entropy,
-    skewness,
 )
 from .nets import (
     DenseNet,

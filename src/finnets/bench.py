@@ -614,22 +614,6 @@ class LinearMarginModel:
         return predict, None
 
 
-class OracleThresholdModel:
-    """The task's own generating rule, for harness self-tests."""
-
-    def __init__(self, tag: str = "oracle-rule"):
-        self.tag = tag
-
-    def fit(self, data, train_idx, val_idx, run_seed, cfg):
-        if data.oracle_scores is None:
-            raise ValueError("dataset carries no oracle scores")
-
-        def predict(d, idx):
-            return (d.oracle_scores[idx] > d.oracle_threshold).astype(np.int64)
-
-        return predict, None
-
-
 # ---------------------------------------------------------------------------
 # Baseline topology search
 # ---------------------------------------------------------------------------

@@ -385,7 +385,10 @@ def _demo_signal(kind: str) -> fe.Signal:
 
 
 def _read_signals_csv(path, sample_rate: float):
-    """Rows of `index,s0,...` (the corpus export schema) as Signals."""
+    """Signals from a CSV: a header row whose first field is `index` (as
+    in `index,s0,s1,...`), then one signal per row, an index and then its
+    samples, all at `sample_rate`. Rows may differ in length; each needs
+    at least two samples."""
     signals = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -5,14 +5,15 @@ to reproduce: Shannon entropy of the amplitude histogram, excess kurtosis,
 skewness, fundamental frequency, mel-frequency cepstral coefficients, and
 a burst-suppression regularity score. Each is a pure function of the
 signal and doubles as the regression target generator and the
-verification oracle for a trained network.
+verification oracle for a trained network. Every setting is a module
+constant, because a `.fin` file records none of them: a network trained
+on other settings would silently mismatch its targets.
 
 There is one implementation of each oracle: `compute_features` evaluates
 it over a batch of equal-length rows, a fixed number of rows at a time,
-and `compute_feature` and the named per-signal functions are its one-row
-calls. Every row's value is bit for bit the value of that row alone: the
-few steps whose batched form rounds differently (skewness's final power,
-f0's power spectrum) run per row.
+and `compute_feature` is its one-row call. Every row's value is bit for
+bit the value of that row alone: the few steps whose batched form rounds
+differently (skewness's final power, f0's power spectrum) run per row.
 
 Conventions: moments are biased (1/N) central moments; entropy is base-2
 over an equal-width amplitude histogram, binned exactly as `np.histogram`
@@ -33,8 +34,9 @@ FEATURE_NAMES = ("entropy", "kurtosis", "skewness", "f0", "mfcc", "regularity")
 DEFAULT_N_BINS = 16
 DEFAULT_N_MFCC = 13
 
-# Fundamental-frequency detector knobs: normalized-autocorrelation peaks
-# must clear this threshold, and nothing slower than F0_MIN_HZ is searched.
+# Fundamental-frequency detector: normalized-autocorrelation peaks must
+# clear F0_THRESHOLD. The search floor is max(F0_MIN_HZ, 2 * fs / length),
+# so at least two periods of the slowest searched frequency fit the signal.
 F0_THRESHOLD = 0.3
 F0_MIN_HZ = 1.0
 
@@ -68,21 +70,11 @@ class Signal:
         return self.samples.size
 
 
-def feature_width(feature: str, n_mfcc: int = DEFAULT_N_MFCC) -> int:
-    """Output dimension of a feature: 1 for scalars, n_mfcc for mfcc."""
+def feature_width(feature: str) -> int:
+    """Output dimension of a feature: 1 for scalars, DEFAULT_N_MFCC for mfcc."""
     if feature not in FEATURE_NAMES:
         raise ValueError(f"unknown feature {feature!r}")
-    return n_mfcc if feature == "mfcc" else 1
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Knobs shared by every oracle call in a corpus or benchmark run."""
-
-    n_bins: int = DEFAULT_N_BINS
-    n_mfcc: int = DEFAULT_N_MFCC
-    f0_min: float = F0_MIN_HZ
-    f0_threshold: float = F0_THRESHOLD
+    return DEFAULT_N_MFCC if feature == "mfcc" else 1
 
 
 # Rows per pass in `compute_features`. The largest transient is mfcc's:
@@ -96,13 +88,15 @@ def _degenerate(bad: np.ndarray, reason: str) -> None:
         raise DegenerateSignal(reason, int(np.argmax(bad)))
 
 
-def _entropy_rows(x: np.ndarray, n_bins: int) -> np.ndarray:
-    """Entropy of each row's equal-width histogram over [min, max].
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row's equal-width histogram over [min, max],
+    at most log2(DEFAULT_N_BINS).
 
     The bin of each sample follows `np.histogram`'s uniform-bin path step
     by step: edges as `np.linspace` builds them, the scaled index, then
     the one-bin corrections against the edges, with the last bin closed.
     """
+    n_bins = DEFAULT_N_BINS
     entropy = np.zeros(x.shape[0])
     lo, hi = x.min(axis=1), x.max(axis=1)
     varied = lo < hi  # a constant row puts all mass in one bin: 0 bits
@@ -153,9 +147,14 @@ def _skewness_rows(x: np.ndarray) -> np.ndarray:
     return np.array([c / v ** 1.5 for c, v in zip(m3.tolist(), m2.tolist())])
 
 
-def _f0_rows(x: np.ndarray, fs: float, f_min: float, threshold: float) -> np.ndarray:
-    """First autocorrelation peak above `threshold` in Hz per row, 0.0
-    where none clears it.
+def _f0_rows(x: np.ndarray, fs: float) -> np.ndarray:
+    """Lowest periodic frequency of each row in Hz, 0.0 where aperiodic.
+
+    The first lag that is a local maximum of the normalized
+    autocorrelation above F0_THRESHOLD is the repetition period: single
+    harmonics of a richer waveform score low there. The lag is refined by
+    parabolic interpolation. Lags run up to fs / F0_MIN_HZ and at most
+    half the signal, which is the derived floor max(F0_MIN_HZ, 2 fs / n).
 
     The biased autocorrelation comes from one zero-padded rfft and one
     irfft of the batch. The power spectrum between them is taken per
@@ -169,11 +168,13 @@ def _f0_rows(x: np.ndarray, fs: float, f_min: float, threshold: float) -> np.nda
     acf = np.fft.irfft(power, nfft, axis=1)[:, :n]
     _degenerate(acf[:, 0] <= 0.0, "zero-variance signal has no autocorrelation")
     r = acf / acf[:, :1]
-    max_lag = min(int(np.floor(fs / f_min)), n - 2)
+    max_lag = min(int(np.floor(fs / F0_MIN_HZ)), n // 2)
     if max_lag < 2:
         return np.zeros(x.shape[0])
     peak = r[:, 2 : max_lag + 1]
-    is_peak = (peak > threshold) & (peak >= r[:, 1:max_lag]) & (peak > r[:, 3 : max_lag + 2])
+    is_peak = (
+        (peak > F0_THRESHOLD) & (peak >= r[:, 1:max_lag]) & (peak > r[:, 3 : max_lag + 2])
+    )
     lag = is_peak.argmax(axis=1) + 2
     rows = np.arange(x.shape[0])
     before, at, after = r[rows, lag - 1], r[rows, lag], r[rows, lag + 1]
@@ -225,10 +226,11 @@ def _mfcc_geometry(fs: float):
     return frame_len, hop
 
 
-def _mfcc_rows(x: np.ndarray, fs: float, n_coeffs: int) -> np.ndarray:
-    """Frame-mean cepstra per row. The matmul and DCT run stacked over
-    a 3-D (rows, frames, bins) array, which computes each row exactly
-    as a 2-D call on that row alone would."""
+def _mfcc_rows(x: np.ndarray, fs: float) -> np.ndarray:
+    """The first DEFAULT_N_MFCC cepstral coefficients per row, mean-pooled
+    across frames. The matmul and DCT run stacked over a 3-D (rows,
+    frames, bins) array, which computes each row exactly as a 2-D call on
+    that row alone would."""
     frame_len, hop = _mfcc_geometry(fs)
     n_frames = 1 + (x.shape[1] - frame_len) // hop
     idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
@@ -237,10 +239,13 @@ def _mfcc_rows(x: np.ndarray, fs: float, n_coeffs: int) -> np.ndarray:
     log_e = power @ mel_filterbank(MFCC_N_FILTERS, frame_len, fs).T
     np.log(np.maximum(log_e, MFCC_LOG_FLOOR, out=log_e), out=log_e)
     coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=-1, overwrite_x=True)
-    return coeffs[..., :n_coeffs].mean(axis=1)
+    return coeffs[..., :DEFAULT_N_MFCC].mean(axis=1)
 
 
 def _regularity_rows(x: np.ndarray) -> np.ndarray:
+    """Amplitude-persistence score in [0, 1] per row: squared amplitudes
+    sorted descending, weighted by the square of their rank. Sustained
+    activity scores near 1, isolated bursts near 0."""
     n = x.shape[1]
     q = np.sort(x * x, axis=1)[:, ::-1]
     total = q.sum(axis=1)
@@ -250,13 +255,11 @@ def _regularity_rows(x: np.ndarray) -> np.ndarray:
     return np.clip(value, 0.0, 1.0)
 
 
-def _oracle(feature: str, length: int, fs: float, config: FeatureConfig):
+def _oracle(feature: str, length: int, fs: float):
     """The function of a (rows, length) chunk computing `feature`, after
-    the checks that depend only on the geometry and the config."""
+    the checks that depend only on the geometry."""
     if feature == "entropy":
-        if config.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        return lambda x: _entropy_rows(x, config.n_bins)
+        return _entropy_rows
     if feature == "kurtosis":
         if length < 4:
             raise ValueError("kurtosis needs at least 4 samples")
@@ -266,19 +269,12 @@ def _oracle(feature: str, length: int, fs: float, config: FeatureConfig):
             raise ValueError("skewness needs at least 3 samples")
         return _skewness_rows
     if feature == "f0":
-        if length < 2 * fs / config.f0_min:
-            raise ValueError(
-                f"need at least {2 * fs / config.f0_min:.0f} samples to detect"
-                f" {config.f0_min} Hz"
-            )
-        return lambda x: _f0_rows(x, fs, config.f0_min, config.f0_threshold)
+        return lambda x: _f0_rows(x, fs)
     if feature == "mfcc":
-        if not 1 <= config.n_mfcc <= MFCC_N_FILTERS:
-            raise ValueError(f"n_coeffs must lie in [1, {MFCC_N_FILTERS}]")
         frame_len, _ = _mfcc_geometry(fs)
         if length < frame_len:
             raise ValueError(f"signal shorter than one {frame_len}-sample frame")
-        return lambda x: _mfcc_rows(x, fs, config.n_mfcc)
+        return lambda x: _mfcc_rows(x, fs)
     if feature == "regularity":
         if length < 2:
             raise ValueError("regularity needs at least 2 samples")
@@ -286,12 +282,7 @@ def _oracle(feature: str, length: int, fs: float, config: FeatureConfig):
     raise ValueError(f"unknown feature {feature!r}")
 
 
-def compute_features(
-    samples: np.ndarray,
-    sample_rate: float,
-    feature: str,
-    config: FeatureConfig = FeatureConfig(),
-) -> np.ndarray:
+def compute_features(samples: np.ndarray, sample_rate: float, feature: str) -> np.ndarray:
     """Raw oracle values of one named feature for a batch of signals.
 
     `samples` is (n_signals, length), all at `sample_rate`; the result is
@@ -307,8 +298,8 @@ def compute_features(
         raise ValueError("samples must be (n_signals, length) with length >= 1")
     if not (sample_rate > 0):
         raise ValueError("sample_rate must be positive")
-    oracle = _oracle(feature, x.shape[1], float(sample_rate), config)
-    out = np.empty((x.shape[0], feature_width(feature, config.n_mfcc)))
+    oracle = _oracle(feature, x.shape[1], float(sample_rate))
+    out = np.empty((x.shape[0], feature_width(feature)))
     for start in range(0, x.shape[0], _ROWS):
         rows = x[start : start + _ROWS]
         finite = np.isfinite(rows).all(axis=1)
@@ -321,78 +312,13 @@ def compute_features(
     return out
 
 
-def compute_feature(
-    signal: Signal, feature: str, config: FeatureConfig = FeatureConfig()
-) -> np.ndarray:
+def compute_feature(signal: Signal, feature: str) -> np.ndarray:
     """Raw oracle value for one named feature, always as a 1-D vector.
 
     This is the one-row call of `compute_features`, so an aperiodic
     signal's fundamental frequency is 0.0 Hz here too.
     """
-    return compute_features(signal.samples[None, :], signal.sample_rate, feature, config)[0]
-
-
-def shannon_entropy(signal: Signal, n_bins: int = DEFAULT_N_BINS) -> float:
-    """Shannon entropy (bits) of the equal-width amplitude histogram.
-
-    The histogram spans [min, max] of the samples with `n_bins` bins; a
-    constant signal puts all mass in one bin and scores 0. The result is
-    bounded by log2(n_bins).
-    """
-    return float(compute_feature(signal, "entropy", FeatureConfig(n_bins=n_bins))[0])
-
-
-def kurtosis(signal: Signal) -> float:
-    """Fisher excess kurtosis m4/m2^2 - 3 with biased central moments."""
-    return float(compute_feature(signal, "kurtosis")[0])
-
-
-def skewness(signal: Signal) -> float:
-    """Skewness m3/m2^1.5 with biased central moments."""
-    return float(compute_feature(signal, "skewness")[0])
-
-
-def fundamental_frequency(
-    signal: Signal,
-    f_min: float = F0_MIN_HZ,
-    threshold: float = F0_THRESHOLD,
-):
-    """Lowest periodic frequency of the waveform, or None when aperiodic.
-
-    Scans the normalized autocorrelation for the smallest lag that is a
-    local maximum above `threshold`; partial periodicities (individual
-    harmonics of a richer waveform) score low there, so the first
-    qualifying lag is the waveform's repetition period. The lag is refined
-    by parabolic interpolation and converted to Hz.
-
-    Returns None (no periodicity) when no peak clears the threshold; this
-    is a sentinel value, not an error.
-    """
-    config = FeatureConfig(f0_min=f_min, f0_threshold=threshold)
-    f0 = float(compute_feature(signal, "f0", config)[0])
-    return None if f0 == 0.0 else f0
-
-
-def mfcc(signal: Signal, n_coeffs: int = DEFAULT_N_MFCC) -> np.ndarray:
-    """Mel-frequency cepstral coefficients, mean-pooled across frames.
-
-    Pipeline: 25 ms Hamming-windowed frames at a 10 ms hop, per-frame
-    power spectrum, 26-filter mel filterbank, log with a 1e-10 floor,
-    orthonormal DCT-II, first `n_coeffs` coefficients, mean over frames.
-    The output length is exactly `n_coeffs` regardless of signal length.
-    """
-    return compute_feature(signal, "mfcc", FeatureConfig(n_mfcc=n_coeffs))
-
-
-def regularity(signal: Signal) -> float:
-    """Amplitude-persistence score in [0, 1].
-
-    Squared amplitudes are sorted descending and weighted by the square of
-    their rank; sustained activity keeps energy at high ranks and scores
-    near 1, while isolated bursts concentrate it at low ranks and score
-    near 0.
-    """
-    return float(compute_feature(signal, "regularity")[0])
+    return compute_features(signal.samples[None, :], signal.sample_rate, feature)[0]
 
 
 def normalize_feature(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

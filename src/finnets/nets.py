@@ -320,19 +320,18 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, grad=None):
     return grad, value
 
 
-def sgd_update(params: list, grads: list, velocity: list, lr: float, momentum: float):
+def sgd_update(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+               lr: float, momentum: float):
     """In-place momentum step: v <- momentum*v - lr*g; p <- p + v.
 
-    Takes matching sequences of arrays. `fit` passes one of each, the
-    model's whole parameter, gradient and velocity buffers, so this runs
-    once per model per step. The gradients are consumed: each is scaled
-    by `lr` in place.
+    Takes three arrays of one shape. `fit` passes the model's whole
+    parameter, gradient and velocity buffers, so this runs once per model
+    per step. The gradient is consumed: it is scaled by `lr` in place.
     """
-    for p, g, v in zip(params, grads, velocity):
-        g *= lr
-        v *= momentum
-        v -= g
-        p += v
+    grad *= lr
+    velocity *= momentum
+    velocity -= grad
+    params += velocity
 
 
 @dataclass(frozen=True)
@@ -445,7 +444,7 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
             value, _ = model.loss_and_grads(train_x[idx], train_t[idx], grad)
             if not np.isfinite(value):
                 raise DivergedError(epoch)
-            sgd_update([params], [grad], [velocity], cfg.learning_rate, cfg.momentum)
+            sgd_update(params, grad, velocity, cfg.learning_rate, cfg.momentum)
             total += value * idx.size
             seen += idx.size
         train_loss = total / seen

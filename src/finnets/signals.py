@@ -9,7 +9,6 @@ waveform; they see the flattened magnitude of a complex Morlet wavelet
 transform, mean-pooled to a fixed scales-by-frames grid.
 """
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
@@ -25,8 +24,9 @@ GENERATOR_FAMILIES = ("white_noise", "sine_mixture", "ar_process", "burst")
 DEFAULT_LENGTH = 512
 DEFAULT_SAMPLE_RATE = 128.0
 
-# Morlet carrier frequency (rad) and default scalogram geometry. 32 scales
-# by 32 frames flattens to the default 1024-unit network input.
+# Morlet carrier frequency (rad) and the scalogram geometry, fixed because
+# a `.fin` file does not record them. 32 scales by 32 frames flattens to
+# the default 1024-unit network input.
 MORLET_OMEGA0 = 6.0
 DEFAULT_N_SCALES = 32
 DEFAULT_N_FRAMES = 32
@@ -197,31 +197,30 @@ def generate(spec: GenSpec, index: int) -> Signal:
     return standardize(Signal(raw, spec.sample_rate))
 
 
-def morlet_center_frequencies(
-    sample_rate: float, n_scales: int = DEFAULT_N_SCALES, f_min: float = CWT_F_MIN
-) -> np.ndarray:
-    """Log-spaced analysis frequencies from f_min up to a quarter of fs,
-    descending (low scale index = high frequency)."""
+def morlet_center_frequencies(sample_rate: float) -> np.ndarray:
+    """DEFAULT_N_SCALES log-spaced analysis frequencies from CWT_F_MIN up
+    to a quarter of fs, descending (low scale index = high frequency)."""
     f_max = sample_rate / 4.0
-    if f_max <= f_min:
-        raise ValueError("sample rate too low for the configured f_min")
-    return np.geomspace(f_max, f_min, n_scales)
+    if f_max <= CWT_F_MIN:
+        raise ValueError(f"sample rate too low: fs/4 must exceed {CWT_F_MIN} Hz")
+    return np.geomspace(f_max, CWT_F_MIN, DEFAULT_N_SCALES)
 
 
 # Signals per FFT pass in `scalograms`. One pass holds the windowed
-# spectra in a reused chunk x n_scales x nfft complex buffer (4 MB at the
-# default geometry) plus the inverse FFT's output of the same size, so the
+# spectra in a reused chunk x n_scales x nfft complex buffer (4 MB at
+# 512 samples) plus the inverse FFT's output of the same size, so the
 # transient memory is about 8 MB whatever the corpus size.
 _CHUNK = 8
 
 
 @functools.lru_cache(maxsize=8)
-def _morlet_bank(length, sample_rate, n_scales, n_frames, omega0, f_min):
-    """Center frequencies, Morlet window bank and nfft for one scalogram
-    geometry. The bank is stored complex, as the spectra it multiplies,
-    so no pass casts it again; both arrays are read-only because every
-    call with that geometry shares them."""
-    freqs = morlet_center_frequencies(sample_rate, n_scales, f_min)
+def _morlet_bank(length, sample_rate):
+    """Center frequencies, Morlet window bank and nfft for one signal
+    length and sample rate. The bank is stored complex, as the spectra it
+    multiplies, so no pass casts it again; both arrays are read-only
+    because every call with that geometry shares them."""
+    omega0 = MORLET_OMEGA0
+    freqs = morlet_center_frequencies(sample_rate)
     nfft = 1 << int(np.ceil(np.log2(2 * length)))
     omega = 2.0 * np.pi * np.fft.fftfreq(nfft)  # rad/sample
     scales = omega0 / (2.0 * np.pi * freqs / sample_rate)
@@ -235,35 +234,27 @@ def _morlet_bank(length, sample_rate, n_scales, n_frames, omega0, f_min):
     return freqs, windows, nfft
 
 
-def scalograms(
-    samples: np.ndarray,
-    sample_rate: float,
-    n_scales: int = DEFAULT_N_SCALES,
-    n_frames: int = DEFAULT_N_FRAMES,
-    omega0: float = MORLET_OMEGA0,
-    f_min: float = CWT_F_MIN,
-):
+def scalograms(samples: np.ndarray, sample_rate: float):
     """Complex Morlet scalograms of a batch of equal-length signals.
 
     `samples` is (n_signals, length), all at `sample_rate`. Returns
-    (magnitudes, freqs): magnitudes is (n_signals, n_scales, n_frames)
-    and row i equals `wavelet_transform` of signal i bit for bit; freqs
-    are the descending center frequencies (read-only, shared by every
-    call with the same geometry). The window bank is built once per
-    geometry, and the FFTs run over the batch axis a few signals at a
-    time, multiplying into one reused buffer. Pooling is two
-    reshape-means: the first `length % n_frames` frames of one sample
-    more, then the rest.
+    (magnitudes, freqs): magnitudes is (n_signals, DEFAULT_N_SCALES,
+    DEFAULT_N_FRAMES) and row i equals `wavelet_transform` of signal i
+    bit for bit; freqs are the descending center frequencies (read-only,
+    shared by every call with the same geometry). The window bank is
+    built once per geometry, and the FFTs run over the batch axis a few
+    signals at a time, multiplying into one reused buffer. Pooling is two
+    reshape-means: the first `length % DEFAULT_N_FRAMES` frames of one
+    sample more, then the rest.
     """
+    n_scales, n_frames = DEFAULT_N_SCALES, DEFAULT_N_FRAMES
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("samples must be (n_signals, length)")
     n = x.shape[1]
     if n < n_frames:
-        raise ValueError("signal shorter than the requested frame count")
-    freqs, windows, nfft = _morlet_bank(
-        n, float(sample_rate), n_scales, n_frames, float(omega0), float(f_min)
-    )
+        raise ValueError(f"signal shorter than the {n_frames}-frame grid")
+    freqs, windows, nfft = _morlet_bank(n, float(sample_rate))
     size, n_long = divmod(n, n_frames)
     split = n_long * (size + 1)
     pooled = np.empty((x.shape[0], n_scales, n_frames))
@@ -284,44 +275,26 @@ def scalograms(
     return pooled, freqs
 
 
-def wavelet_transform(
-    signal: Signal,
-    n_scales: int = DEFAULT_N_SCALES,
-    n_frames: int = DEFAULT_N_FRAMES,
-    omega0: float = MORLET_OMEGA0,
-    f_min: float = CWT_F_MIN,
-) -> TFMap:
+def wavelet_transform(signal: Signal) -> TFMap:
     """Complex Morlet scalogram, magnitude only, pooled to a fixed grid.
 
     The transform is evaluated in the frequency domain: for each center
     frequency f the analytic Morlet window exp(-(s*w - omega0)^2 / 2)
-    (s = omega0 / (2*pi*f), w in rad/sample) multiplies the signal
-    spectrum, scaled so a unit-amplitude sinusoid at f responds with
+    (omega0 = MORLET_OMEGA0, s = omega0 / (2*pi*f), w in rad/sample)
+    multiplies the signal spectrum, scaled so a unit-amplitude sinusoid at f responds with
     magnitude 1. The signal is zero-padded to the next power of two at
     least twice its length to suppress circular wrap-around, and the
-    magnitude time axis is mean-pooled into exactly `n_frames` contiguous
-    chunks (the first `length % n_frames` one sample longer). This is a
-    one-row call of `scalograms`.
+    magnitude time axis is mean-pooled into exactly DEFAULT_N_FRAMES
+    contiguous chunks (the first `length % DEFAULT_N_FRAMES` one sample
+    longer). This is a one-row call of `scalograms`.
     """
-    magnitudes, freqs = scalograms(
-        signal.samples[None, :], signal.sample_rate, n_scales, n_frames, omega0, f_min
-    )
+    magnitudes, freqs = scalograms(signal.samples[None, :], signal.sample_rate)
     return TFMap(magnitudes[0], freqs)
 
 
 def flatten_tf(tf: TFMap) -> np.ndarray:
     """Row-major flattening of the scalogram into a network input vector."""
     return tf.magnitudes.ravel().copy()
-
-
-def export_corpus_csv(spec: GenSpec, n_signals: int, path) -> None:
-    """Debug dump: one signal per row, columns index then samples."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"s{i}" for i in range(spec.length)])
-        for i in range(n_signals):
-            sig = generate(spec, i)
-            writer.writerow([i] + [f"{v:.17g}" for v in sig.samples])
 
 
 def gen_spec_digest(spec: GenSpec) -> str:

@@ -33,10 +33,10 @@ from finnets.rng import rng_for
 # ---------------------------------------------------------------------------
 
 
-def ref_entropy(x, n_bins):
+def ref_entropy(x):
     if x.min() == x.max():
         return 0.0
-    counts, _ = np.histogram(x, bins=n_bins)
+    counts, _ = np.histogram(x, bins=fe.DEFAULT_N_BINS)
     p = counts[counts > 0] / x.size
     return float(-(p * np.log2(p)).sum())
 
@@ -56,16 +56,17 @@ def ref_skewness(x):
     return m3 / m2 ** 1.5
 
 
-def ref_f0(x, fs, f_min, threshold):
+def ref_f0(x, fs):
     xm = x - x.mean()
     n = x.size
+    f_min = max(fe.F0_MIN_HZ, 2 * fs / n)  # two periods of the floor fit
     nfft = 1 << int(np.ceil(np.log2(2 * n)))
     spec = np.fft.rfft(xm, nfft)
     acf = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
     r = acf / acf[0]
     max_lag = min(int(np.floor(fs / f_min)), n - 2)
     for lag in range(2, max_lag + 1):
-        if r[lag] > threshold and r[lag] >= r[lag - 1] and r[lag] > r[lag + 1]:
+        if r[lag] > fe.F0_THRESHOLD and r[lag] >= r[lag - 1] and r[lag] > r[lag + 1]:
             denom = r[lag - 1] - 2.0 * r[lag] + r[lag + 1]
             shift = 0.0 if denom == 0.0 else 0.5 * (r[lag - 1] - r[lag + 1]) / denom
             shift = float(np.clip(shift, -0.5, 0.5))
@@ -73,7 +74,7 @@ def ref_f0(x, fs, f_min, threshold):
     return 0.0
 
 
-def ref_mfcc(x, fs, n_coeffs):
+def ref_mfcc(x, fs):
     frame_len = max(int(round(fe.MFCC_FRAME_SECONDS * fs)), 2)
     hop = max(int(round(fe.MFCC_HOP_SECONDS * fs)), 1)
     n_frames = 1 + (x.size - frame_len) // hop
@@ -82,7 +83,7 @@ def ref_mfcc(x, fs, n_coeffs):
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2 / frame_len
     energies = power @ fe.mel_filterbank(fe.MFCC_N_FILTERS, frame_len, fs).T
     log_e = np.log(np.maximum(energies, fe.MFCC_LOG_FLOOR))
-    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=1)[:, :fe.DEFAULT_N_MFCC]
     return coeffs.mean(axis=0)
 
 
@@ -95,17 +96,17 @@ def ref_regularity(x):
     return float(np.clip(value, 0.0, 1.0))
 
 
-def reference(x, fs, feature, config):
+def reference(x, fs, feature):
     if feature == "entropy":
-        return [ref_entropy(x, config.n_bins)]
+        return [ref_entropy(x)]
     if feature == "kurtosis":
         return [ref_kurtosis(x)]
     if feature == "skewness":
         return [ref_skewness(x)]
     if feature == "f0":
-        return [ref_f0(x, fs, config.f0_min, config.f0_threshold)]
+        return [ref_f0(x, fs)]
     if feature == "mfcc":
-        return ref_mfcc(x, fs, config.n_mfcc)
+        return ref_mfcc(x, fs)
     return [ref_regularity(x)]
 
 
@@ -138,24 +139,20 @@ def corpus_batch(length, fs):
     return x
 
 
-GEOMETRIES = [(512, 128.0), (300, 100.0), (1000, 250.0)]
-# f0 cannot reach 1 Hz in 2000 samples at 8 kHz, so the audio-rate batch
-# searches from 8 Hz
-AUDIO = (2000, 8000.0, fe.FeatureConfig(f0_min=8.0))
-
-
+# f0's derived search floor, max(1 Hz, 2 fs / length), is 1 Hz at the first
+# three geometries and 8 Hz at the audio rate
 @pytest.mark.parametrize("feature", fe.FEATURE_NAMES)
 @pytest.mark.parametrize(
-    "length, fs, config",
-    [(n, fs, fe.FeatureConfig()) for n, fs in GEOMETRIES] + [AUDIO],
+    "length, fs",
+    [(512, 128.0), (300, 100.0), (1000, 250.0), (2000, 8000.0)],
     ids=["512@128", "300@100", "1000@250", "2000@8000"],
 )
-def test_every_row_equals_the_per_signal_oracle(feature, length, fs, config):
+def test_every_row_equals_the_per_signal_oracle(feature, length, fs):
     x = corpus_batch(length, fs)
-    got = fe.compute_features(x, fs, feature, config)
-    assert got.shape == (N_ROWS, fe.feature_width(feature, config.n_mfcc))
+    got = fe.compute_features(x, fs, feature)
+    assert got.shape == (N_ROWS, fe.feature_width(feature))
     for i, row in enumerate(x):
-        want = np.asarray(reference(row, fs, feature, config))
+        want = np.asarray(reference(row, fs, feature))
         assert np.array_equal(got[i], want), (i, got[i], want)
 
 
@@ -175,7 +172,7 @@ def test_edge_rows_inside_a_batch():
     assert entropy[7] == 0.0
     _, edges = np.histogram(x[5], bins=fe.DEFAULT_N_BINS)
     assert np.isin(edges, x[5]).all() and x[5].max() == edges[-1]
-    assert entropy[5] == ref_entropy(x[5], fe.DEFAULT_N_BINS)
+    assert entropy[5] == ref_entropy(x[5])
     assert fe.compute_features(x[[1, fe._ROWS + 3]], 128.0, "f0")[1, 0] == 0.0
 
 
@@ -204,8 +201,6 @@ def test_batch_validation():
         fe.compute_features(x[0], 100.0, "entropy")  # not 2-D
     with pytest.raises(ValueError):
         fe.compute_features(x[:2], 100.0, "loudness")
-    with pytest.raises(ValueError):
-        fe.compute_features(x[:2, :100], 100.0, "f0")  # shorter than two periods
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,19 @@ def test_oracle_normalized_with_artifact(artifact_path, capsys):
     capsys.readouterr()
 
 
+def write_signals_csv(path, rows):
+    """The `--signals-csv` schema: `index,s0,s1,...`, one signal per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index"] + [f"s{i}" for i in range(len(rows[0]))])
+        for i, row in enumerate(rows):
+            writer.writerow([i] + [repr(float(v)) for v in row])
+
+
 def test_oracle_signals_csv(tmp_path, capsys):
     spec = signals.GenSpec(seed=88)
     path = tmp_path / "sig.csv"
-    signals.export_corpus_csv(spec, 3, path)
+    write_signals_csv(path, [signals.generate(spec, i).samples for i in range(3)])
     assert main(["oracle", "--feature", "entropy", "--signals-csv", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
@@ -215,6 +224,16 @@ def test_oracle_signals_csv(tmp_path, capsys):
         sig = signals.generate(spec, i)
         want = float(features.compute_feature(sig, "entropy")[0])
         assert abs(float(line.split()[1]) - want) < 1e-12
+
+
+def test_oracle_f0_of_a_short_signal(tmp_path, capsys):
+    # 100 samples at 128 Hz are under two periods of 1 Hz: the search
+    # floor rises to 2.56 Hz and the 10 Hz tone still gets a value
+    path = tmp_path / "short.csv"
+    write_signals_csv(path, [np.sin(2 * np.pi * 10.0 * np.arange(100) / 128.0)])
+    assert main(["oracle", "--feature", "f0", "--signals-csv", str(path)]) == 0
+    index, value = capsys.readouterr().out.split()
+    assert index == "0" and float(value) == pytest.approx(10.03, abs=0.01)
 
 
 def test_oracle_flag_validation(tmp_path, capsys):

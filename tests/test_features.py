@@ -122,27 +122,28 @@ def ref_regularity(x):
 
 def test_entropy_matches_reference_on_corpus():
     for s in corpus():
-        assert abs(fe.shannon_entropy(s) - ref_entropy(s.samples)) < 1e-9
+        got = fe.compute_feature(s, "entropy")[0]
+        assert abs(got - ref_entropy(s.samples)) < 1e-9
 
 
 def test_moments_match_scipy_on_corpus():
     for s in corpus():
         want_k = scipy.stats.kurtosis(s.samples, fisher=True, bias=True)
         want_s = scipy.stats.skew(s.samples, bias=True)
-        assert abs(fe.kurtosis(s) - want_k) < 1e-9
-        assert abs(fe.skewness(s) - want_s) < 1e-9
+        assert abs(fe.compute_feature(s, "kurtosis")[0] - want_k) < 1e-9
+        assert abs(fe.compute_feature(s, "skewness")[0] - want_s) < 1e-9
 
 
 def test_f0_matches_reference_on_corpus():
     periodic = 0
     for s in corpus():
-        got = fe.fundamental_frequency(s)
+        got = fe.compute_feature(s, "f0")[0]
         want = ref_f0(s.samples, s.sample_rate)
         if want is None:
-            assert got is None
+            assert got == 0.0
         else:
             periodic += 1
-            assert got is not None and abs(got - want) < 0.5
+            assert abs(got - want) < 0.5
     assert periodic > 10  # the corpus must actually exercise the detector
 
 
@@ -153,7 +154,7 @@ def test_mfcc_matches_reference_on_corpus():
         x = rng.standard_normal(2000) + 0.5 * np.sin(
             2 * np.pi * rng.uniform(100, 3000) * np.arange(2000) / 8000.0
         )
-        got = fe.mfcc(make_signal(x, 8000.0))
+        got = fe.compute_feature(make_signal(x, 8000.0), "mfcc")
         want = ref_mfcc(x, 8000.0)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -161,13 +162,14 @@ def test_mfcc_matches_reference_on_corpus():
 def test_mfcc_matches_reference_at_corpus_rate():
     for s in corpus(30):
         np.testing.assert_allclose(
-            fe.mfcc(s), ref_mfcc(s.samples, s.sample_rate), atol=1e-6
+            fe.compute_feature(s, "mfcc"), ref_mfcc(s.samples, s.sample_rate), atol=1e-6
         )
 
 
 def test_regularity_matches_reference_on_corpus():
     for s in corpus():
-        assert abs(fe.regularity(s) - ref_regularity(s.samples)) < 1e-9
+        got = fe.compute_feature(s, "regularity")[0]
+        assert abs(got - ref_regularity(s.samples)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -176,60 +178,62 @@ def test_regularity_matches_reference_on_corpus():
 
 def test_entropy_uniform_bins_is_log2():
     s = make_signal(np.repeat(np.arange(16.0), 4))
-    assert fe.shannon_entropy(s) == pytest.approx(4.0, abs=1e-12)
+    assert fe.compute_feature(s, "entropy")[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_entropy_constant_is_zero():
-    assert fe.shannon_entropy(make_signal(np.ones(64))) == 0.0
+    assert fe.compute_feature(make_signal(np.ones(64)), "entropy")[0] == 0.0
 
 
 def test_entropy_bounds_and_permutation_invariance():
     rng = rng_for(5, "entropy")
     x = rng.standard_normal(512)
-    h = fe.shannon_entropy(make_signal(x))
+    h = fe.compute_feature(make_signal(x), "entropy")[0]
     assert 0.0 <= h <= 4.0
-    assert fe.shannon_entropy(make_signal(x[::-1])) == pytest.approx(h, abs=1e-12)
+    reversed_h = fe.compute_feature(make_signal(x[::-1]), "entropy")[0]
+    assert reversed_h == pytest.approx(h, abs=1e-12)
 
 
 def test_kurtosis_alternating_is_minus_two():
     s = make_signal(np.tile([1.0, -1.0], 32))
-    assert fe.kurtosis(s) == pytest.approx(-2.0, abs=1e-12)
+    assert fe.compute_feature(s, "kurtosis")[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_kurtosis_scale_invariant():
     rng = rng_for(6, "kurt")
     x = rng.standard_normal(256)
-    a = fe.kurtosis(make_signal(x))
-    b = fe.kurtosis(make_signal(7.5 * x))
+    a = fe.compute_feature(make_signal(x), "kurtosis")[0]
+    b = fe.compute_feature(make_signal(7.5 * x), "kurtosis")[0]
     assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_skewness_spike_pattern_value():
     # {0,0,0,1} repeated: mean 1/4, m2 = 3/16, m3 = 3/32, skew = 2/sqrt(3)
     s = make_signal(np.tile([0.0, 0.0, 0.0, 1.0], 16))
-    assert fe.skewness(s) == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
+    got = fe.compute_feature(s, "skewness")[0]
+    assert got == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
 
 
 def test_skewness_antisymmetric():
     rng = rng_for(7, "skew")
     x = rng.standard_normal(256) ** 3
-    assert fe.skewness(make_signal(-x)) == pytest.approx(
-        -fe.skewness(make_signal(x)), abs=1e-12
+    assert fe.compute_feature(make_signal(-x), "skewness")[0] == pytest.approx(
+        -fe.compute_feature(make_signal(x), "skewness")[0], abs=1e-12
     )
 
 
 def test_moments_reject_constant_signal():
     with pytest.raises(DegenerateSignal):
-        fe.kurtosis(make_signal(np.full(64, 3.0)))
+        fe.compute_feature(make_signal(np.full(64, 3.0)), "kurtosis")
     with pytest.raises(DegenerateSignal):
-        fe.skewness(make_signal(np.full(64, 3.0)))
+        fe.compute_feature(make_signal(np.full(64, 3.0)), "skewness")
 
 
 def test_f0_pure_tones_across_band():
     t = np.arange(512) / FS
     for freq in (2.0, 5.3, 10.0, 17.7, 30.0):
-        got = fe.fundamental_frequency(make_signal(np.sin(2 * np.pi * freq * t)))
-        assert got is not None and abs(got - freq) < 0.5
+        got = fe.compute_feature(make_signal(np.sin(2 * np.pi * freq * t)), "f0")[0]
+        assert abs(got - freq) < 0.5
 
 
 def test_f0_harmonic_stack_returns_fundamental():
@@ -239,35 +243,46 @@ def test_f0_harmonic_stack_returns_fundamental():
         + 0.6 * np.sin(2 * np.pi * 20.0 * t)
         + 0.3 * np.sin(2 * np.pi * 30.0 * t)
     )
-    got = fe.fundamental_frequency(make_signal(x))
-    assert got is not None and abs(got - 10.0) < 0.5
+    got = fe.compute_feature(make_signal(x), "f0")[0]
+    assert abs(got - 10.0) < 0.5
 
 
 def test_f0_white_noise_is_aperiodic():
     for seed in range(5):
         x = rng_for(seed, "f0-noise").standard_normal(512)
-        assert fe.fundamental_frequency(make_signal(x)) is None
+        assert fe.compute_feature(make_signal(x), "f0")[0] == 0.0
 
 
 def test_f0_requires_two_periods():
-    t = np.arange(100) / FS  # under 2*fs/f_min = 256 samples
-    with pytest.raises(ValueError):
-        fe.fundamental_frequency(make_signal(np.sin(2 * np.pi * 10 * t)))
+    # the search floor is max(F0_MIN_HZ, 2 fs / n): 100 samples at 128 Hz
+    # hold two periods down to 2.56 Hz, so a 10 Hz tone is found there
+    t = np.arange(100) / FS
+    got = fe.compute_feature(make_signal(np.sin(2 * np.pi * 10 * t)), "f0")[0]
+    assert got == pytest.approx(10.03, abs=0.01)
+    # control: 512 samples would allow 0.5 Hz, but the floor stays at
+    # F0_MIN_HZ, so a 0.7 Hz tone that a 0.5 Hz floor finds reads aperiodic
+    t = np.arange(512) / FS
+    slow = np.sin(2 * np.pi * 0.7 * t)
+    assert fe.compute_feature(make_signal(slow), "f0")[0] == 0.0
+    assert ref_f0(slow, FS, f_min=0.5) == pytest.approx(0.71, abs=0.01)
 
 
 def test_f0_threshold_gates_detection():
-    rng = rng_for(8, "f0-thresh")
-    t = np.arange(512) / FS
-    x = np.sin(2 * np.pi * 8.0 * t) + 2.5 * rng.standard_normal(512)
-    loose = fe.fundamental_frequency(make_signal(x), threshold=0.05)
-    strict = fe.fundamental_frequency(make_signal(x), threshold=0.95)
-    assert loose is not None
-    assert strict is None
+    # an 8 Hz tone's autocorrelation peak clears F0_THRESHOLD under mild
+    # noise; under heavy noise it does not, though a 0.05 threshold would
+    # still find a period there
+    noise = rng_for(8, "f0-thresh").standard_normal(512)
+    tone = np.sin(2 * np.pi * 8.0 * np.arange(512) / FS)
+    clear = fe.compute_feature(make_signal(tone + 0.5 * noise), "f0")[0]
+    assert abs(clear - 8.0) < 0.5
+    buried = tone + 2.5 * noise
+    assert fe.compute_feature(make_signal(buried), "f0")[0] == 0.0
+    assert ref_f0(buried, FS, threshold=0.05) is not None
 
 
 def test_mfcc_length_and_finiteness():
     for s in corpus(10):
-        c = fe.mfcc(s)
+        c = fe.compute_feature(s, "mfcc")
         assert c.shape == (13,)
         assert np.all(np.isfinite(c))
 
@@ -275,14 +290,14 @@ def test_mfcc_length_and_finiteness():
 def test_mfcc_amplitude_scaling_only_shifts_c0():
     rng = rng_for(9, "mfcc-scale")
     x = rng.standard_normal(4000)
-    a = fe.mfcc(make_signal(x, 8000.0))
-    b = fe.mfcc(make_signal(10.0 * x, 8000.0))
+    a = fe.compute_feature(make_signal(x, 8000.0), "mfcc")
+    b = fe.compute_feature(make_signal(10.0 * x, 8000.0), "mfcc")
     assert abs(b[0] - a[0]) > 1e-3
     np.testing.assert_allclose(a[1:], b[1:], atol=1e-9)
 
 
 def test_regularity_constant_is_one():
-    assert fe.regularity(make_signal(np.ones(512))) == 1.0
+    assert fe.compute_feature(make_signal(np.ones(512)), "regularity")[0] == 1.0
 
 
 def test_regularity_burst_below_sustained():
@@ -290,12 +305,13 @@ def test_regularity_burst_below_sustained():
     sustained = np.sin(2 * np.pi * 10 * t)
     burst = np.zeros(512)
     burst[250:260] = 1.0
-    assert fe.regularity(make_signal(burst)) < fe.regularity(make_signal(sustained))
+    burst_score = fe.compute_feature(make_signal(burst), "regularity")[0]
+    assert burst_score < fe.compute_feature(make_signal(sustained), "regularity")[0]
 
 
 def test_regularity_rejects_all_zero():
     with pytest.raises(DegenerateSignal):
-        fe.regularity(make_signal(np.zeros(16)))
+        fe.compute_feature(make_signal(np.zeros(16)), "regularity")
 
 
 # ---------------------------------------------------------------------------

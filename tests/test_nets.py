@@ -157,10 +157,10 @@ def test_sgd_recurrence_by_hand():
     p = np.array([1.0])
     v = np.array([0.0])
     g = np.array([0.5])
-    nets.sgd_update([p], [g], [v], lr=0.1, momentum=0.9)
+    nets.sgd_update(p, g, v, lr=0.1, momentum=0.9)
     assert p[0] == pytest.approx(0.95, abs=1e-12)
     assert g[0] == pytest.approx(0.05, abs=1e-12)  # consumed: scaled by lr
-    nets.sgd_update([p], [np.array([0.5])], [v], lr=0.1, momentum=0.9)
+    nets.sgd_update(p, np.array([0.5]), v, lr=0.1, momentum=0.9)
     # v2 = 0.9*(-0.05) - 0.05 = -0.095
     assert p[0] == pytest.approx(0.855, abs=1e-12)
 
@@ -169,7 +169,7 @@ def test_sgd_without_momentum_is_plain_descent():
     p = np.array([2.0, -1.0])
     v = np.zeros(2)
     g = np.array([1.0, 4.0])
-    nets.sgd_update([p], [g], [v], lr=0.25, momentum=0.0)
+    nets.sgd_update(p, g, v, lr=0.25, momentum=0.0)
     np.testing.assert_allclose(p, [1.75, -2.0], atol=1e-12)
 
 

@@ -1,13 +1,11 @@
 """Synthetic corpus generation and the wavelet front end."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from finnets import signals as sg
 from finnets.errors import DegenerateSignal
-from finnets.features import Signal
+from finnets.features import Signal, compute_feature
 
 
 def test_generate_is_pure_in_seed_and_index():
@@ -57,21 +55,19 @@ def test_gen_spec_validation():
 def test_single_family_weights_steer_generation():
     # pure white noise: excess kurtosis of each signal hovers near 0
     spec = sg.GenSpec(seed=8, family_weights={"white_noise": 1.0})
-    from finnets.features import kurtosis
-
-    values = [kurtosis(sg.generate(spec, i)) for i in range(30)]
+    values = [compute_feature(sg.generate(spec, i), "kurtosis")[0] for i in range(30)]
     assert abs(float(np.mean(values))) < 0.3
 
 
 def test_center_frequencies_geometric_and_descending():
-    freqs = sg.morlet_center_frequencies(128.0, 32)
+    freqs = sg.morlet_center_frequencies(128.0)
     assert freqs.shape == (32,)
     assert freqs[0] == pytest.approx(32.0)
     assert freqs[-1] == pytest.approx(1.0)
     ratios = freqs[1:] / freqs[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
     with pytest.raises(ValueError):
-        sg.morlet_center_frequencies(3.0, 8)  # fs/4 below f_min
+        sg.morlet_center_frequencies(3.0)  # fs/4 below CWT_F_MIN
 
 
 def test_scalogram_shape_and_scales():
@@ -99,10 +95,9 @@ def test_unit_amplitude_tone_has_unit_response():
     fs = 128.0
     t = np.arange(512) / fs
     tone = Signal(np.sin(2 * np.pi * 10.0 * t), fs)
-    # n_frames = signal length keeps single-sample columns (no pooling)
-    tf = sg.wavelet_transform(tone, n_frames=512)
+    tf = sg.wavelet_transform(tone)
     row = int(np.argmin(np.abs(tf.scales - 10.0)))
-    mid = tf.magnitudes[row, 200:300]
+    mid = tf.magnitudes[row, 12:19]  # 16-sample frames over samples 192:304
     assert np.all(np.abs(mid - 1.0) < 0.05)
 
 
@@ -120,10 +115,10 @@ def test_tf_map_validation():
 
 def test_short_signal_rejected_by_transform():
     with pytest.raises(ValueError):
-        sg.wavelet_transform(Signal(np.ones(16) + np.arange(16), 128.0), n_frames=32)
+        sg.wavelet_transform(Signal(np.ones(16) + np.arange(16), 128.0))
 
 
-def _reference_transform(x, fs, n_frames):
+def _reference_transform(x, fs):
     """Per-signal loop transform, written as in the `wavelet_transform`
     docstring, that the batched path must match bit for bit."""
     n = x.size
@@ -137,23 +132,22 @@ def _reference_transform(x, fs, n_frames):
         0.0,
     )
     mags = np.abs(np.fft.ifft(np.fft.fft(x, nfft)[None, :] * windows, axis=1)[:, :n])
-    return np.stack([c.mean(axis=1) for c in np.array_split(mags, n_frames, axis=1)], axis=1)
+    chunks = np.array_split(mags, sg.DEFAULT_N_FRAMES, axis=1)
+    return np.stack([c.mean(axis=1) for c in chunks], axis=1)
 
 
 @pytest.mark.parametrize(
-    "length, fs, n_frames",
-    [(512, 128.0, 32), (300, 100.0, 32), (512, 128.0, 512)],
-    ids=["default", "uneven-frames", "unpooled"],
+    "length, fs", [(512, 128.0), (300, 100.0)], ids=["default", "uneven-frames"]
 )
-def test_scalograms_match_per_signal_transform(length, fs, n_frames):
+def test_scalograms_match_per_signal_transform(length, fs):
     spec = sg.GenSpec(length=length, sample_rate=fs, seed=9)
     signals = [sg.generate(spec, i) for i in range(19)]  # more than two FFT chunks
-    mags, freqs = sg.scalograms(np.stack([s.samples for s in signals]), fs, n_frames=n_frames)
-    assert mags.shape == (19, sg.DEFAULT_N_SCALES, n_frames)
+    mags, freqs = sg.scalograms(np.stack([s.samples for s in signals]), fs)
+    assert mags.shape == (19, sg.DEFAULT_N_SCALES, sg.DEFAULT_N_FRAMES)
     for i, signal in enumerate(signals):
-        tf = sg.wavelet_transform(signal, n_frames=n_frames)
+        tf = sg.wavelet_transform(signal)
         assert np.array_equal(mags[i], tf.magnitudes)
-        assert np.array_equal(mags[i], _reference_transform(signal.samples, fs, n_frames))
+        assert np.array_equal(mags[i], _reference_transform(signal.samples, fs))
     assert np.array_equal(freqs, tf.scales)
 
 
@@ -178,20 +172,6 @@ def test_flatten_is_row_major_copy():
     assert flat[32] == tf.magnitudes[1, 0]
     flat[0] = -1.0
     assert tf.magnitudes[0, 0] != -1.0
-
-
-def test_corpus_csv_round_trip(tmp_path):
-    spec = sg.GenSpec(seed=21)
-    path = tmp_path / "corpus.csv"
-    sg.export_corpus_csv(spec, 5, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index"] + [f"s{i}" for i in range(512)]
-    assert len(rows) == 6
-    for i, row in enumerate(rows[1:]):
-        assert row[0] == str(i)
-        got = np.array([float(v) for v in row[1:]])
-        np.testing.assert_array_equal(got, sg.generate(spec, i).samples)
 
 
 def test_digest_is_stable_and_key_order_free():
