@@ -201,18 +201,24 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _pack_weights(net: DenseNet) -> str:
-    """Layer-by-layer f32 payload: each weight matrix as (out, in),
-    row-major (transposed from memory), then its bias."""
+def _pack_weights(net: DenseNet) -> bytes:
+    """Base64 of the layer-by-layer f32 payload: each weight matrix as
+    (out, in), row-major (transposed from memory), then its bias."""
     chunks = []
     for w, b in zip(net.weights, net.biases):
         chunks.append(np.ascontiguousarray(w.T, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
-    return base64.b64encode(b"".join(chunks)).decode("ascii")
+    return base64.b64encode(b"".join(chunks))
 
 
 def save_fin(artifact: FinArtifact, path) -> None:
-    doc = {
+    """Write the canonical JSON of the artifact's document, one line.
+
+    The base64 payload needs no escaping and `"weights"` sorts after
+    every other key, so the line is the canonical header with the payload
+    spliced in as its last member, and `json` never scans the payload.
+    """
+    header = {
         "format_version": artifact.format_version,
         "feature": artifact.feature,
         "topology": {
@@ -226,10 +232,14 @@ def save_fin(artifact: FinArtifact, path) -> None:
             "best_val_loss": float(artifact.history_summary["best_val_loss"]),
             "epochs": int(artifact.history_summary["epochs"]),
         },
-        "weights": _pack_weights(artifact.net),
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_canonical_json(doc))
+    assert max(header) < "weights"
+    head = _canonical_json(header).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(head[:-2])  # without the closing "}\n"
+        fh.write(b',"weights":"')
+        fh.write(_pack_weights(artifact.net))
+        fh.write(b'"}\n')
 
 
 def _json_typed(value, types, field: str):

@@ -763,6 +763,23 @@ def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
     assert saved[0] == saved[1]
 
 
+def test_bench_tree_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    entry_point = declared_console_script("fin")
+    trees = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        proc = run_console_script(entry_point, BENCH_BASE + [
+            "--repeats", "2", "--models", "baseline-search,knn,linear-margin",
+            "--search-candidates", "2", "--max-epochs", "4", "--patience", "4",
+            "--workers", "1", "--zero-timing", "--out-dir", str(out),
+        ], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "search_runs.csv" in trees[0]
+    assert trees[0] == trees[1]
+
+
 @pytest.mark.skipif(shutil.which("fin") is None,
                     reason="fin console script not installed on PATH")
 def test_installed_fin_on_path():

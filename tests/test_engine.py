@@ -220,6 +220,33 @@ def test_save_load_resave_byte_identical(tiny_artifact, tmp_path):
     np.testing.assert_array_equal(loaded.norm_lo, tiny_artifact.norm_lo)
 
 
+def is_canonical_json_line(data: bytes) -> bool:
+    """Whether `data` is the sorted, compact JSON of its own document."""
+    doc = json.loads(data)
+    return data == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_fin_file_is_the_canonical_json_of_its_document(tiny_artifact, tmp_path):
+    stock = engine.FinArtifact(
+        "entropy",
+        nets.init_random(nets.Topology((1024, 512, 256, 64, 1),
+                                       ("relu", "relu", "relu", "linear")), 4),
+        np.zeros(1), np.ones(1), "0" * 64, {"best_val_loss": 0.1, "epochs": 1},
+    )
+    for name, art in (("tiny", tiny_artifact), ("stock", stock)):
+        path = tmp_path / f"{name}.fin"
+        engine.save_fin(art, path)
+        data = path.read_bytes()
+        assert is_canonical_json_line(data), name
+    # controls: the same document with spaced separators, or weights first
+    doc = json.loads(data)
+    spaced = json.dumps(doc, sort_keys=True, separators=(", ", ":")) + "\n"
+    assert not is_canonical_json_line(spaced.encode())
+    weights_first = {"weights": doc.pop("weights"), **doc}
+    unsorted = json.dumps(weights_first, separators=(",", ":")) + "\n"
+    assert not is_canonical_json_line(unsorted.encode())
+
+
 def test_fin_payload_is_out_in_row_major(tmp_path):
     # (out, in) matrices as the file stores them; the net holds (in, out)
     out_in = [np.arange(12.0).reshape(4, 3), 12.0 + np.arange(8.0).reshape(2, 4)]

@@ -165,6 +165,27 @@ def test_sgd_recurrence_by_hand():
     assert p[0] == pytest.approx(0.855, abs=1e-12)
 
 
+@pytest.mark.parametrize("momentum", [0.9, 0.0])
+@pytest.mark.parametrize("size", [1, nets._BLOCK - 1, nets._BLOCK, 2 * nets._BLOCK + 123])
+def test_blocked_sgd_matches_whole_buffer_passes(size, momentum):
+    rng = rng_for(size, "sgd-blocks")
+    p, v, g = (rng.standard_normal(size).astype(np.float32) for _ in range(3))
+    ref_p, ref_v, ref_g = p.copy(), v.copy(), g.copy()
+    ref_g *= 0.01
+    ref_v *= momentum
+    ref_v -= ref_g
+    ref_p += ref_v
+    nets.sgd_update(p, g, v, 0.01, momentum)
+    assert np.array_equal(p, ref_p)
+    assert np.array_equal(v, ref_v)
+    assert np.array_equal(g, ref_g)
+
+
+def test_sgd_update_takes_flat_buffers():
+    with pytest.raises(ShapeError):
+        nets.sgd_update(np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), 0.1, 0.9)
+
+
 def test_sgd_without_momentum_is_plain_descent():
     p = np.array([2.0, -1.0])
     v = np.zeros(2)
