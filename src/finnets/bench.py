@@ -119,6 +119,17 @@ def _threshold_labels(scores, rho, seed):
     return labels, thresh
 
 
+def _check_task_shape(n_items, n_channels, n_subjects, rho):
+    """Reject a task size or label noise no builder can honour, before
+    any signal is generated. `n_subjects` None means no subject ids."""
+    for name, value in (("n_items", n_items), ("n_channels", n_channels),
+                        ("n_subjects", n_subjects)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not (0.0 <= rho < 0.5):
+        raise ValueError("label noise must lie in [0, 0.5)")
+
+
 def make_feature_threshold_task(
     feature: str,
     n_channels: int = 1,
@@ -133,14 +144,13 @@ def make_feature_threshold_task(
     Labels are flipped independently with probability `rho`. The latent
     scores and threshold ride along for harness self-tests.
     """
-    if not (0.0 <= rho < 0.5):
-        raise ValueError("label noise must lie in [0, 0.5)")
+    _check_task_shape(n_items, n_channels, n_subjects, rho)
     if gen is None:
         gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", feature))
     inputs, samples = _materialize_items(gen, n_items, n_channels)
     scores = _channel_mean_feature(samples, gen, n_channels, feature)
     labels, thresh = _threshold_labels(scores, rho, seed)
-    subjects = np.arange(n_items) % n_subjects if n_subjects else None
+    subjects = None if n_subjects is None else np.arange(n_items) % n_subjects
     return LabeledDataset(
         inputs,
         labels,
@@ -170,8 +180,7 @@ def make_multi_feature_task(
     features = list(features)
     if len(features) < 2:
         raise ValueError("need at least two features for a combination rule")
-    if not (0.0 <= rho < 0.5):
-        raise ValueError("label noise must lie in [0, 0.5)")
+    _check_task_shape(n_items, n_channels, n_subjects, rho)
     if gen is None:
         gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", *features))
     inputs, samples = _materialize_items(gen, n_items, n_channels)
@@ -188,7 +197,7 @@ def make_multi_feature_task(
         weights[name] = w
         combined += w * (raw - raw.mean()) / std
     labels, thresh = _threshold_labels(combined, rho, seed)
-    subjects = np.arange(n_items) % n_subjects if n_subjects else None
+    subjects = None if n_subjects is None else np.arange(n_items) % n_subjects
     return LabeledDataset(
         inputs,
         labels,

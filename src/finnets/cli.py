@@ -237,7 +237,7 @@ def _parse_task(args) -> B.LabeledDataset:
         raise CliError("--task is required")
     shape = dict(
         n_channels=args.channels, n_items=args.items, rho=args.rho,
-        seed=derive_seed(args.seed, "task"), n_subjects=args.subjects or None,
+        seed=derive_seed(args.seed, "task"), n_subjects=args.subjects,
     )
     if task.startswith("feature-threshold:"):
         feature = task.split(":", 1)[1]

@@ -367,6 +367,33 @@ def test_bench_rejects_repeated_fractions(tmp_path, capsys):
     assert not (tmp_path / "runs.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--channels", "0", "n_channels"),
+    ("--channels", "-1", "n_channels"),
+    ("--items", "0", "n_items"),
+    ("--subjects", "0", "n_subjects"),
+])
+def test_bench_rejects_empty_task_sizes(tmp_path, flag, value, name):
+    # a child process, so a numpy warning printed before the error shows
+    proc = run_console_script(declared_console_script("fin"), BENCH_BASE + [
+        "--models", "knn", flag, value, "--out-dir", str(tmp_path / "out"),
+    ], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {name} must be at least 1, got {value}\n"
+
+
+def test_pretrain_rejects_a_sample_rate_without_a_tone_band(tmp_path, capsys):
+    code = main([
+        "pretrain", "--feature", "entropy", "--signals", "100",
+        "--sample-rate", "3", "--out", "x.fin", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sample_rate must be at least 4.21 Hz: below that the tone "
+        "band from 1 Hz to 0.95 * fs / 4 is empty\n")
+    assert not (tmp_path / "x.fin").exists()
+
+
 def test_bench_loso_with_subjects(tmp_path, capsys):
     code = main(BENCH_BASE + [
         "--protocol", "leave-subjects-out", "--subjects", "3",
@@ -716,13 +743,14 @@ def declared_console_script(name):
         name=name, value=scripts[name], group="console_scripts")
 
 
-def run_console_script(entry_point, args, cwd):
+def run_console_script(entry_point, args, cwd, prelude=""):
     """Run `entry_point` through the wrapper an installer writes for it.
 
     The child imports the same `finnets` this process imported, whatever
-    the inherited PYTHONPATH or working directory.
+    the inherited PYTHONPATH or working directory. `prelude` is code the
+    child runs before that import.
     """
-    wrapper = (f"import sys\n"
+    wrapper = (f"{prelude}import sys\n"
                f"from {entry_point.module} import {entry_point.attr}\n"
                f"sys.exit({entry_point.attr}())\n")
     package_root = Path(finnets.__file__).resolve().parents[1]
@@ -758,6 +786,29 @@ def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
             "--max-epochs", "3", "--patience", "3", "--recon-signals", "50",
             "--out", "ent.fin", "--out-dir", str(out),
         ], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        saved.append((out / "ent.fin").read_bytes())
+    assert saved[0] == saved[1]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least 2 usable CPUs")
+def test_pretrain_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # one child may run on a single CPU, set before finnets is imported,
+    # so its scalograms run inline; the other runs one block per CPU
+    entry_point = declared_console_script("fin")
+    one_cpu = ("import os\n"
+               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+               "assert len(os.sched_getaffinity(0)) == 1\n")
+    saved = []
+    for name, prelude in (("one", one_cpu), ("all", "")):
+        out = tmp_path / name
+        proc = run_console_script(entry_point, [
+            "pretrain", "--feature", "entropy", "--signals", "600",
+            "--max-epochs", "3", "--patience", "3", "--recon-signals", "50",
+            "--out", "ent.fin", "--out-dir", str(out),
+        ], tmp_path, prelude=prelude)
         assert proc.returncode == 0, proc.stderr
         saved.append((out / "ent.fin").read_bytes())
     assert saved[0] == saved[1]

@@ -1,11 +1,16 @@
 """Synthetic corpus generation and the wavelet front end."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from finnets import signals as sg
 from finnets.errors import DegenerateSignal
 from finnets.features import Signal, compute_feature
+from finnets.rng import rng_for
 
 
 def test_generate_is_pure_in_seed_and_index():
@@ -50,6 +55,16 @@ def test_gen_spec_validation():
         sg.GenSpec(family_weights={"white_noise": 0.7, "burst": 0.7})
     with pytest.raises(ValueError):
         sg.GenSpec(family_weights={"white_noise": 1.5, "burst": -0.5})
+
+
+def test_gen_spec_sample_rate_floor():
+    # tones are drawn from [CWT_F_MIN, 0.95 * fs / 4], empty below ~4.21 Hz
+    tones = {"sine_mixture": 0.5, "burst": 0.5}
+    spec = sg.GenSpec(length=64, sample_rate=4.2106, family_weights=tones)
+    assert all(np.all(np.isfinite(sg.generate(spec, i).samples)) for i in range(40))
+    for fs in (4.2105, 3.0):
+        with pytest.raises(ValueError, match=r"at least 4\.21 Hz"):
+            sg.GenSpec(length=64, sample_rate=fs, family_weights=tones)
 
 
 def test_single_family_weights_steer_generation():
@@ -149,6 +164,62 @@ def test_scalograms_match_per_signal_transform(length, fs):
         assert np.array_equal(mags[i], tf.magnitudes)
         assert np.array_equal(mags[i], _reference_transform(signal.samples, fs))
     assert np.array_equal(freqs, tf.scales)
+
+
+@pytest.fixture(scope="module")
+def batch_and_reference():
+    x = rng_for(21, "cpu-count").standard_normal((800, 300))
+    return x, np.stack([_reference_transform(row, 100.0) for row in x])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_scalograms_do_not_depend_on_cpu_count(cpus, batch_and_reference, monkeypatch):
+    # sizes on both sides of one pass (step signals per thread) and of
+    # the block boundaries; uneven frames, so both pooling means run.
+    # Up to 8 threads, more than the cores of most test hosts, switching
+    # as often as the interpreter allows: a pass buffer shared between
+    # threads would corrupt rows.
+    monkeypatch.setattr(sg, "_usable_cpus", lambda: list(range(cpus)))
+    x, reference = batch_and_reference
+    step = max(1, sg._CHUNK // cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for size in sorted({1, step - 1, step, step + 1, 2 * step + 3, 800} - {0}):
+            mags, _ = sg.scalograms(x[:size], 100.0)
+            assert np.array_equal(mags, reference[:size]), size
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _block_threads(monkeypatch, n_signals):
+    """(thread ident, CPU affinity) of each block of one scalograms call."""
+    threads = []
+    run_block = sg._scalogram_block
+
+    def recording(*args):
+        threads.append((threading.get_ident(), sorted(os.sched_getaffinity(0))))
+        run_block(*args)
+
+    monkeypatch.setattr(sg, "_scalogram_block", recording)
+    x = rng_for(22, "threads").standard_normal((n_signals, 512))
+    sg.scalograms(x, 128.0)
+    return threads
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least 2 usable CPUs")
+def test_a_large_batch_runs_one_pinned_block_per_cpu(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))[:800]  # 800 signals fill at most 800 blocks
+    threads = _block_threads(monkeypatch, 800)
+    idents = {ident for ident, _ in threads}
+    assert len(idents) == len(cpus)
+    assert threading.get_ident() not in idents
+    assert sorted(mask for _, mask in threads) == [[cpu] for cpu in cpus]
+    # control: one CPU runs the whole batch as one block, inline, unpinned
+    monkeypatch.setattr(sg, "_usable_cpus", lambda: cpus[:1])
+    assert _block_threads(monkeypatch, 800) == [(threading.get_ident(), cpus)]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
