@@ -49,7 +49,6 @@ from .nets import (
     forward,
     gradcheck_suite,
     init_random,
-    train,
 )
 from .signals import (
     GenSpec,

@@ -38,6 +38,11 @@ TEST_FRACTION = 0.15
 VAL_FRACTION = 0.15
 SEARCH_WIDTHS = (32, 64, 128, 256, 512)
 SEARCH_DEPTHS = (2, 10)  # inclusive range of affine layer counts
+SEARCH_SPLITS = 3  # repeated random splits each search candidate trains on
+# full-batch hinge-loss subgradient descent of the linear-margin comparator
+MARGIN_EPOCHS = 200
+MARGIN_LR = 0.05
+MARGIN_REG = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +52,8 @@ SEARCH_DEPTHS = (2, 10)  # inclusive range of affine layer counts
 @dataclass
 class LabeledDataset:
     """Classification items: per-channel flattened scalograms plus labels.
+
+    Inputs must be finite (`ValueError` otherwise).
 
     `oracle_scores`/`oracle_threshold` carry the latent rule behind
     synthetic tasks so the harness can self-test its evaluation path; they
@@ -66,6 +73,8 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 3:
             raise ShapeError("inputs must be (n_items, n_channels, tf_dim)")
+        if not np.all(np.isfinite(self.inputs)):
+            raise ValueError("inputs must be finite")
         n = self.inputs.shape[0]
         if self.labels.shape != (n,):
             raise ShapeError("labels must align with items")
@@ -242,8 +251,8 @@ def export_dataset_csv(data: LabeledDataset, path) -> None:
 def ingest_dataset_csv(path) -> LabeledDataset:
     """Parse the dataset interchange schema, validating as it reads.
 
-    Violations raise `IngestError` carrying the 1-based row number
-    (header = row 1).
+    Violations, a non-finite value among them, raise `IngestError`
+    carrying the 1-based row number (header = row 1).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -270,6 +279,8 @@ def ingest_dataset_csv(path) -> LabeledDataset:
                 values = np.array(list(map(float, row[4:])))
             except ValueError as exc:
                 raise IngestError(row_no, f"bad numeric field: {exc}") from None
+            if not np.all(np.isfinite(values)):
+                raise IngestError(row_no, "values must be finite")
             if label < 0:
                 raise IngestError(row_no, "labels must be non-negative")
             if current is None or current[0] != item_id:
@@ -446,11 +457,12 @@ def knn_classify(train_x, train_y, test_x, k: int):
     return out
 
 
-def _linear_margin_train(train_x, train_y, epochs, lr, reg):
+def _linear_margin_train(train_x, train_y):
     """One-vs-rest hinge-loss weights `(w[classes, d], b[classes])`.
 
-    Full-batch subgradient descent with an L2 penalty on the weights
-    (bias unpenalized); deterministic with no randomness at all.
+    `MARGIN_EPOCHS` full-batch subgradient steps of `MARGIN_LR` with an L2
+    penalty of `MARGIN_REG` on the weights (bias unpenalized);
+    deterministic with no randomness at all.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.int64)
@@ -459,12 +471,12 @@ def _linear_margin_train(train_x, train_y, epochs, lr, reg):
     w = np.zeros((classes, d))
     b = np.zeros(classes)
     signs = np.where(train_y[None, :] == np.arange(classes)[:, None], 1.0, -1.0)
-    for _ in range(epochs):
+    for _ in range(MARGIN_EPOCHS):
         margins = signs * (train_x @ w.T + b).T  # (classes, n)
         viol = margins < 1.0
         coeff = np.where(viol, signs, 0.0)
-        w -= lr * (reg * w - (coeff @ train_x) / n)
-        b -= lr * (-coeff.sum(axis=1) / n)
+        w -= MARGIN_LR * (MARGIN_REG * w - (coeff @ train_x) / n)
+        b -= MARGIN_LR * (-coeff.sum(axis=1) / n)
     return w, b
 
 
@@ -473,16 +485,9 @@ def _linear_margin_predict(w, b, test_x):
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def linear_margin_classify(
-    train_x,
-    train_y,
-    test_x,
-    epochs: int = 200,
-    lr: float = 0.05,
-    reg: float = 1e-4,
-):
+def linear_margin_classify(train_x, train_y, test_x):
     """One-vs-rest linear classifier trained on the hinge loss."""
-    w, b = _linear_margin_train(train_x, train_y, epochs, lr, reg)
+    w, b = _linear_margin_train(train_x, train_y)
     return _linear_margin_predict(w, b, test_x)
 
 
@@ -604,18 +609,11 @@ class KnnModel:
 class LinearMarginModel:
     """Hinge-loss linear one-vs-rest comparator."""
 
-    def __init__(self, tag: str = "linear-margin", epochs: int = 200,
-                 lr: float = 0.05, reg: float = 1e-4):
+    def __init__(self, tag: str = "linear-margin"):
         self.tag = tag
-        self.epochs = epochs
-        self.lr = lr
-        self.reg = reg
 
     def fit(self, data, train_idx, val_idx, run_seed, cfg):
-        w, b = _linear_margin_train(
-            _flat_inputs(data)[train_idx], data.labels[train_idx],
-            self.epochs, self.lr, self.reg,
-        )
+        w, b = _linear_margin_train(_flat_inputs(data)[train_idx], data.labels[train_idx])
 
         def predict(d, idx):
             return _linear_margin_predict(w, b, _flat_inputs(d)[idx])
@@ -648,14 +646,14 @@ def baseline_search(
     seed: int,
     candidates=None,
     n_candidates: int = 20,
-    n_search_splits: int = 3,
 ):
     """Pick the topology with the best mean validation accuracy.
 
-    Each candidate trains from scratch on a few dedicated splits; test
-    partitions are never touched. A diverging candidate scores 0 on that
-    split. Ties break toward fewer parameters, then the lower candidate
-    index. Returns (winner topology, per-candidate-split records).
+    Each candidate trains from scratch on `SEARCH_SPLITS` dedicated
+    splits; test partitions are never touched. A diverging candidate
+    scores 0 on that split. Ties break toward fewer parameters, then the
+    lower candidate index. Returns (winner topology, per-candidate-split
+    records).
     """
     if candidates is None:
         candidates = sample_search_candidates(
@@ -665,7 +663,7 @@ def baseline_search(
         raise ValueError("candidate list is empty")
     plan = SplitPlan(
         mode="repeated_random",
-        repeats=n_search_splits,
+        repeats=SEARCH_SPLITS,
         seed=derive_seed(seed, "search-splits"),
     )
     x = _single_channel_inputs(data)
@@ -673,7 +671,7 @@ def baseline_search(
     means = []
     for ci, topo in enumerate(candidates):
         accs = []
-        for j in range(n_search_splits):
+        for j in range(SEARCH_SPLITS):
             train_idx, val_idx, _ = split_repeated(data, plan, j)
             tcfg = replace(cfg, seed=derive_seed(seed, "search-train", ci, j))
             t0 = time.perf_counter()

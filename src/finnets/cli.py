@@ -314,16 +314,7 @@ def cmd_bench(args) -> int:
             seed=args.seed,
         )
         report = B.run_benchmark(data, plan, models, cfg, workers=args.workers)
-        tags = [m.tag for m in models]
-        comparisons = []
-        for i, a in enumerate(tags):
-            for b in tags[i + 1:]:
-                comparisons.append(("welch", a, b, "greater"))
-                comparisons.append(("levene", a, b, None))
-        if comparisons and all(
-            agg["n_runs"] >= 2 for agg in report.aggregates.values()
-        ):
-            rp.add_model_comparisons(report, comparisons)
+        rp.add_model_comparisons(report)
         rp.emit_report(report, out_dir, zero_timing=args.zero_timing)
         if search_records is not None:
             if args.zero_timing:
@@ -388,7 +379,7 @@ def _read_signals_csv(path, sample_rate: float):
     """Signals from a CSV: a header row whose first field is `index` (as
     in `index,s0,s1,...`), then one signal per row, an index and then its
     samples, all at `sample_rate`. Rows may differ in length; each needs
-    at least two samples."""
+    at least two samples, all finite."""
     signals = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -403,6 +394,8 @@ def _read_signals_csv(path, sample_rate: float):
                     raise IngestError(row_no, f"bad sample value: {exc}") from None
                 if values.size < 2:
                     raise IngestError(row_no, "signal needs at least two samples")
+                if not np.all(np.isfinite(values)):
+                    raise IngestError(row_no, "samples must be finite")
                 signals.append(fe.Signal(values, sample_rate))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc

@@ -173,16 +173,14 @@ def pretrain_fin(
     targets = fe.normalize_feature(raw_targets, lo, hi)
 
     net = nets.init_random(topology, derive_seed(cfg.seed, "pretrain-init"))
-    inputs = np.asarray(inputs, dtype=nets.DTYPE)
-    trained, history = nets.train(
-        net,
-        (inputs[train_idx], targets[train_idx]),
-        (inputs[val_idx], targets[val_idx]),
-        cfg,
-    )
+    rows = np.asarray(inputs, dtype=nets.DTYPE)
+    train_xy = (rows[train_idx], targets[train_idx])
+    val_xy = (rows[val_idx], targets[val_idx])
+    del rows, inputs  # the float32 corpus copy is not needed during training
+    history = nets.fit(nets.DenseModel(net), train_xy, val_xy, cfg)
     return FinArtifact(
         feature=feature,
-        net=trained,
+        net=net,
         norm_lo=lo,
         norm_hi=hi,
         gen_spec_digest=sg.gen_spec_digest(gen),
@@ -249,12 +247,17 @@ def _json_typed(value, types, field: str):
     return value
 
 
+def _reject_constant(name: str):
+    """`json`'s hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise CorruptArtifact(f"non-finite number {name} is not JSON")
+
+
 def load_fin(path) -> FinArtifact:
-    """Read a `.fin` file, validating version, field types, shapes, and
-    payload size."""
+    """Read a `.fin` file, validating version, field types, finite
+    numbers, shapes, and payload size."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptArtifact(f"unparseable artifact: {exc}") from exc
     if not isinstance(doc, dict):

@@ -246,26 +246,21 @@ def backward_stack(weights, activations, pre, post, delta, grads_w, grads_b):
             )
 
 
-def forward(net: DenseNet, x: np.ndarray, want_cache: bool = False):
-    """Run the network on a vector or a batch.
-
-    Returns the output, or (output, cache) when `want_cache` is set; the
-    cache holds per-layer pre-activations and activations for backprop.
-    """
-    x = np.asarray(x)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
+def _check_batch(net: DenseNet, batch: np.ndarray):
     if batch.ndim != 2 or batch.shape[1] != net.topology.input_dim:
         raise ShapeError(
             f"input dim {batch.shape[-1]} != network input {net.topology.input_dim}"
         )
-    pre, post = forward_stack(
-        net.weights, net.biases, net.topology.activations, batch
-    )
-    out = post[-1][0] if single else post[-1]
-    if want_cache:
-        return out, (pre, post)
-    return out
+
+
+def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Run the network on a vector or a batch; returns its output."""
+    x = np.asarray(x)
+    single = x.ndim == 1
+    batch = x[None, :] if single else x
+    _check_batch(net, batch)
+    _, post = forward_stack(net.weights, net.biases, net.topology.activations, batch)
+    return post[-1][0] if single else post[-1]
 
 
 def loss_value(loss: str, output: np.ndarray, targets: np.ndarray) -> float:
@@ -303,9 +298,11 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, grad=None):
         raise ShapeError("batch size mismatch between inputs and targets")
     if targets.shape[1] != net.topology.output_dim:
         raise ShapeError("target dim does not match network output")
+    _check_batch(net, inputs)
     acts = net.topology.activations
     loss = _loss_for(net.topology)
-    output, (pre, post) = forward(net, inputs, want_cache=True)
+    pre, post = forward_stack(net.weights, net.biases, acts, inputs)
+    output = post[-1]
     batch = inputs.shape[0]
     if loss == "softmax_ce":
         value = loss_value(loss, pre[-1], targets)
@@ -486,17 +483,6 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
     return history
 
 
-def train(net: DenseNet, train_xy, val_xy, cfg: TrainConfig):
-    """Train a copy of `net`, returning (best network, history).
-
-    The input network is left untouched; the returned network carries the
-    parameters of the epoch with the lowest validation loss.
-    """
-    model = DenseModel(net.copy())
-    history = fit(model, train_xy, val_xy, cfg)
-    return model.net, history
-
-
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     out = np.zeros((labels.size, n_classes))
@@ -508,14 +494,18 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
+# Central-difference step of the gradient check, taken on a float64 copy.
+GRADCHECK_STEP = 1e-5
+
+
 def finite_difference_check(
     model,
     inputs: np.ndarray,
     targets: np.ndarray,
-    h: float = 1e-5,
     corrupt: bool = False,
 ) -> float:
-    """Max relative error between backprop and central finite differences.
+    """Max relative error between backprop and central finite differences
+    of step `GRADCHECK_STEP`.
 
     `model` follows the training protocol (`buffer`, `parameters`,
     `loss_and_grads`, `eval_loss`, `copy`), so dense and ensemble networks
@@ -532,6 +522,7 @@ def finite_difference_check(
         first[i] = first[i] * 1.5 + 1e-2
 
     params = model.buffer
+    h = GRADCHECK_STEP
     max_rel = 0.0
     for i in range(params.size):
         orig = params[i]
@@ -567,7 +558,7 @@ def _gradcheck_case(rng: np.random.Generator):
     batch = int(rng.integers(3, 7))
     for _ in range(50):
         inputs = rng.standard_normal((batch, sizes[0]))
-        _, (pre, _) = forward(net, inputs, want_cache=True)
+        pre, _ = forward_stack(net.weights, net.biases, topo.activations, inputs)
         margins = [
             np.abs(z).min()
             for z, tag in zip(pre, topo.activations)
@@ -582,11 +573,11 @@ def _gradcheck_case(rng: np.random.Generator):
     return net, inputs, targets
 
 
-def gradcheck_suite(n_nets: int = 20, seed: int = 2024, h: float = 1e-5) -> float:
+def gradcheck_suite(n_nets: int = 20, seed: int = 2024) -> float:
     """Finite-difference sweep over random nets; returns the max rel error."""
     rng = rng_for(seed, "gradcheck")
     worst = 0.0
     for _ in range(n_nets):
         net, inputs, targets = _gradcheck_case(rng)
-        worst = max(worst, finite_difference_check(DenseModel(net), inputs, targets, h))
+        worst = max(worst, finite_difference_check(DenseModel(net), inputs, targets))
     return worst

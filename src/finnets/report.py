@@ -8,6 +8,7 @@ byte-level comparisons.
 """
 
 import csv
+import itertools
 import os
 
 import numpy as np
@@ -23,6 +24,7 @@ LOSS_CURVES_CSV = "loss_curves.csv"
 FRACTION_CSV = "fraction_accuracy.csv"
 SEARCH_CSV = "search_runs.csv"
 REPORT_JSON = "report.json"
+ALPHA = 0.05  # family-wise significance level of the model comparisons
 
 
 def _zeroed(report: EvalReport) -> EvalReport:
@@ -153,46 +155,48 @@ def emit_search_records(records, out_dir) -> str:
     return path
 
 
-def add_model_comparisons(report: EvalReport, comparisons, alpha: float = 0.05):
-    """Append test rows comparing per-model accuracy samples.
+def _tested(test, *args):
+    """`test(*args)` as (statistic, p), or (None, None) for degenerate
+    groups, such as two models with identical constant accuracy: the row
+    stays in the report but carries no p-value."""
+    try:
+        return test(*args)
+    except DegenerateGroups:
+        return None, None
 
-    `comparisons` is a list of (kind, tag_a, tag_b, alternative) with kind
-    in {"welch", "levene"}; alternative only applies to welch. All raw
-    p-values are Bonferroni-corrected together as one family.
+
+def add_model_comparisons(report: EvalReport):
+    """Append test rows comparing every pair of models' accuracy samples.
+
+    Models are taken in the order they first appear in `report.runs`; for
+    each pair (a, b), a one-tailed Welch test of a > b and then a Levene
+    test. All raw p-values are Bonferroni-corrected together as one family
+    at `ALPHA`. Nothing is added unless there are at least two models and
+    each has at least two runs. Returns the rows added.
     """
     samples = {}
     for r in report.runs:
         samples.setdefault(r.model_tag, []).append(r.accuracy)
+    if len(samples) < 2 or any(len(acc) < 2 for acc in samples.values()):
+        return []
     rows = []
-    for kind, tag_a, tag_b, alternative in comparisons:
-        a = np.array(samples[tag_a])
-        b = np.array(samples[tag_b])
-        if kind == "welch":
-            name = f"welch_one_tailed_{alternative or 'greater'}"
-        elif kind == "levene":
-            name = "levene"
-        else:
-            raise ValueError(f"unknown test kind {kind!r}")
-        try:
-            if kind == "welch":
-                stat, p = st.welch_t_one_tailed(a, b, alternative or "greater")
-            else:
-                stat, p = st.levene_test([a, b])
-        except DegenerateGroups:
-            # e.g. two models with identical constant accuracy; the row
-            # stays in the report but carries no p-value
-            stat, p = None, None
-        rows.append({
-            "test_name": name,
-            "groups": f"{tag_a} vs {tag_b}",
-            "statistic": None if stat is None else float(stat),
-            "p_value": None if p is None else float(p),
-        })
+    for tag_a, tag_b in itertools.combinations(samples, 2):
+        a, b = np.array(samples[tag_a]), np.array(samples[tag_b])
+        for name, (stat, p) in (
+            ("welch_one_tailed_greater", _tested(st.welch_t_one_tailed, a, b, "greater")),
+            ("levene", _tested(st.levene_test, [a, b])),
+        ):
+            rows.append({
+                "test_name": name,
+                "groups": f"{tag_a} vs {tag_b}",
+                "statistic": None if stat is None else float(stat),
+                "p_value": None if p is None else float(p),
+            })
     testable = [row for row in rows if row["p_value"] is not None]
     corrected = st.bonferroni([row["p_value"] for row in testable])
     for row, cp in zip(testable, corrected):
         row["corrected_p"] = float(cp)
-        row["verdict"] = "significant" if cp < alpha else "not_significant"
+        row["verdict"] = "significant" if cp < ALPHA else "not_significant"
     for row in rows:
         if row["p_value"] is None:
             row["corrected_p"] = None

@@ -134,7 +134,7 @@ def test_criterion_01_feature_fidelity(entropy_fin, regularity_fin):
 def test_criterion_02_gradient_correctness():
     """Analytic gradients match central differences; a corrupt one fails."""
     t0 = time.perf_counter()
-    worst = nets.gradcheck_suite(n_nets=20, seed=2024, h=1e-5)
+    worst = nets.gradcheck_suite(n_nets=20, seed=2024)
     rng = rng_for(9, "corrupt")
     net = nets.init_random(nets.Topology((6, 5, 3), ("relu", "linear")), 5)
     x = rng.standard_normal((4, 6))

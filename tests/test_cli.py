@@ -133,6 +133,18 @@ def test_inspect_field_of_the_wrong_json_type(artifact_path, tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+def test_inspect_non_finite_constant(artifact_path, tmp_path, capsys):
+    doc = json.loads(Path(artifact_path).read_text())
+    doc["history_summary"]["best_val_loss"] = float("nan")
+    bad = tmp_path / "bad.fin"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()
+    assert main(["inspect", str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert "non-finite number NaN" in captured.err
+    assert "best_val_loss" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
@@ -224,6 +236,16 @@ def test_oracle_signals_csv(tmp_path, capsys):
         sig = signals.generate(spec, i)
         want = float(features.compute_feature(sig, "entropy")[0])
         assert abs(float(line.split()[1]) - want) < 1e-12
+    # a non-finite sample is named by its row, like every other defect
+    text = path.read_text().splitlines()
+    for bad in ("nan", "1e400", "-inf"):
+        fields = text[2].split(",")
+        fields[5] = bad
+        path.write_text("\n".join(text[:2] + [",".join(fields)] + text[3:]) + "\n")
+        assert main(["oracle", "--feature", "entropy", "--signals-csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: row 3: samples must be finite\n"
+        assert captured.out == ""
 
 
 def test_oracle_f0_of_a_short_signal(tmp_path, capsys):

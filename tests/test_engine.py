@@ -383,6 +383,21 @@ def test_fields_of_the_wrong_json_type_are_corrupt(tiny_artifact, tmp_path, wher
         engine.load_fin(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("where", [("history_summary", "best_val_loss"), ("norm_lo", 0)],
+                         ids=repr)
+def test_non_finite_json_constants_are_corrupt(tiny_artifact, tmp_path, where, value):
+    # json writes these as NaN, Infinity and -Infinity, which JSON lacks
+    path = tmp_path / "a.fin"
+    engine.save_fin(tiny_artifact, path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    doc = json.loads(path.read_text())
+    doc[where[0]][where[1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptArtifact, match="non-finite"):
+        engine.load_fin(path)
+
+
 # ---------------------------------------------------------------------------
 # transfer mechanics
 # ---------------------------------------------------------------------------
@@ -482,7 +497,7 @@ def test_ensemble_gradients_match_finite_differences():
     targets = nets.one_hot(rng.integers(0, 3, size=5), 3)
     value, _ = ens.loss_and_grads(x, targets)
     assert np.isfinite(value)
-    assert nets.finite_difference_check(ens, x, targets, h=1e-6) < 1e-4
+    assert nets.finite_difference_check(ens, x, targets) < 1e-4
 
 
 def test_fine_tune_learns_strongest_channel_toy():
@@ -511,8 +526,12 @@ def test_fine_tune_dense_path_and_validation(tiny_artifact):
     x = rng_for(4, "ft").standard_normal((40, 1024))
     labels = (x[:, 0] > 0).astype(int)
     cfg = nets.TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=0)
+    before = net.buffer.copy()
     trained, history = engine.fine_tune(net, (x[:32], labels[:32]), (x[32:], labels[32:]), cfg)
     assert len(history.val_losses) >= 1
+    # the caller's net is untouched; the trained copy moved
+    np.testing.assert_array_equal(net.buffer, before)
+    assert trained is not net and not np.array_equal(trained.buffer, before)
     with pytest.raises(ValueError):
         engine.fine_tune(net, (x, labels + 5), (x, labels), cfg)
     with pytest.raises(ShapeError):

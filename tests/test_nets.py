@@ -12,6 +12,12 @@ def tiny_topology():
     return nets.Topology((3, 4, 2), ("relu", "linear"))
 
 
+def fit_copy(net, train_xy, val_xy, cfg):
+    """Train a copy of `net` in place; returns (trained copy, history)."""
+    model = nets.DenseModel(net.copy())
+    return model.net, nets.fit(model, train_xy, val_xy, cfg)
+
+
 def test_topology_validation():
     with pytest.raises(ValueError):
         nets.Topology((5,), ())
@@ -119,7 +125,7 @@ def test_training_stays_float32_on_float64_data():
     net = nets.init_random(tiny_topology(), 3)
     assert all(p.dtype == np.float32 for p in net.parameters())
     cfg = nets.TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
-    best, hist = nets.train(net, (x[:32], y[:32]), (x[32:], y[32:]), cfg)
+    best, hist = fit_copy(net, (x[:32], y[:32]), (x[32:], y[32:]), cfg)
     assert all(p.dtype == np.float32 for p in best.parameters())
     assert nets.forward(best, x).dtype == np.float32
     assert all(type(v) is float for v in hist.train_losses + hist.val_losses)
@@ -200,26 +206,29 @@ def test_training_converges_on_linear_regression():
     y = x @ np.array([[2.0], [-1.0]]) + 0.5
     net = nets.init_random(nets.Topology((2, 1), ("linear",)), 3)
     cfg = nets.TrainConfig(learning_rate=0.05, max_epochs=60, patience=60, seed=1)
-    best, hist = nets.train(net, (x[:200], y[:200]), (x[200:], y[200:]), cfg)
+    best, hist = fit_copy(net, (x[:200], y[:200]), (x[200:], y[200:]), cfg)
     assert hist.best_val_loss < 1e-3
     assert hist.best_val_loss <= hist.val_losses[0]
     got = nets.forward(best, np.eye(2))
     np.testing.assert_allclose(got.ravel(), [2.5, -0.5], atol=0.05)
 
 
-def test_train_is_deterministic_and_preserves_input_net():
+def test_fit_is_deterministic_and_trains_its_model_in_place():
     rng = rng_for(31, "det")
     x = rng.standard_normal((64, 3))
     y = rng.standard_normal((64, 2))
     net = nets.init_random(tiny_topology(), 11)
-    before = [w.copy() for w in net.weights]
     cfg = nets.TrainConfig(max_epochs=5, patience=5, batch_size=16, seed=4)
-    a, _ = nets.train(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
-    b, _ = nets.train(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
+    a, _ = fit_copy(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
+    b, _ = fit_copy(net, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
-    for w0, w1 in zip(before, net.weights):
-        np.testing.assert_array_equal(w0, w1)
+    model = nets.DenseModel(net)
+    buffer = net.buffer
+    nets.fit(model, (x[:48], y[:48]), (x[48:], y[48:]), cfg)
+    assert model.net is net and net.buffer is buffer
+    for wa, w in zip(a.weights, net.weights):
+        np.testing.assert_array_equal(wa, w)
 
 
 def test_early_stopping_restores_best_epoch():
@@ -233,7 +242,7 @@ def test_early_stopping_restores_best_epoch():
     cfg = nets.TrainConfig(
         learning_rate=0.3, batch_size=4, max_epochs=200, patience=5, seed=9
     )
-    best, hist = nets.train(net, (x, y), (xv, yv), cfg)
+    best, hist = fit_copy(net, (x, y), (xv, yv), cfg)
     assert hist.stopped_epoch < 200
     assert hist.best_epoch <= hist.stopped_epoch
     assert hist.best_val_loss == min(hist.val_losses)
@@ -249,7 +258,7 @@ def test_divergence_raises_with_epoch():
     net = nets.init_random(nets.Topology((3, 8, 1), ("relu", "linear")), 0)
     cfg = nets.TrainConfig(learning_rate=50.0, max_epochs=30, patience=30, seed=0)
     with pytest.raises(DivergedError) as err:
-        nets.train(net, (x, y), (x, y), cfg)
+        fit_copy(net, (x, y), (x, y), cfg)
     assert isinstance(err.value.epoch, int)
 
 

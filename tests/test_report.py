@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from finnets import bench, report
+from finnets import bench, report, stats
 
 
 def run_record(i, tag, k, fraction, acc, sec, history=None):
@@ -95,16 +95,12 @@ def test_add_model_comparisons():
         runs.append(run_record(len(runs), "hi", i, 1.0, 0.9 + rng.normal() * 0.01, 0.0))
         runs.append(run_record(len(runs), "lo", i, 1.0, 0.6 + rng.normal() * 0.01, 0.0))
     rep = bench.EvalReport(runs=runs, aggregates={}, fraction_aggregates=[])
-    rows = report.add_model_comparisons(
-        rep, [("welch", "hi", "lo", "greater"), ("levene", "hi", "lo", None)]
-    )
+    rows = report.add_model_comparisons(rep)
     assert rep.stats == rows
     welch = rows[0]
     assert welch["test_name"] == "welch_one_tailed_greater"
     assert welch["verdict"] == "significant"
     assert welch["corrected_p"] == pytest.approx(min(1.0, welch["p_value"] * 2))
-    with pytest.raises(ValueError):
-        report.add_model_comparisons(rep, [("anova", "hi", "lo", None)])
 
 
 def test_add_model_comparisons_degenerate_rows():
@@ -113,11 +109,54 @@ def test_add_model_comparisons_degenerate_rows():
         runs.append(run_record(len(runs), "a", i, 1.0, 1.0, 0.0))
         runs.append(run_record(len(runs), "b", i, 1.0, 1.0, 0.0))
     rep = bench.EvalReport(runs=runs, aggregates={}, fraction_aggregates=[])
-    rows = report.add_model_comparisons(
-        rep, [("welch", "a", "b", "greater"), ("levene", "a", "b", None)]
-    )
+    rows = report.add_model_comparisons(rep)
+    assert len(rows) == 2
     for row in rows:
         assert row["p_value"] is None
         assert row["verdict"] == "degenerate"
     # degenerate rows must serialize as strict JSON
     json.dumps(rows)
+
+
+def three_model_report(runs_of_last=2):
+    """Models z, a, m (in that order, not sorted) with two runs each, or
+    one run of the last model."""
+    rng = np.random.default_rng(np.random.PCG64(8))
+    means = {"z": 0.9, "a": 0.7, "m": 0.5}
+    runs = []
+    for k in range(2):
+        for tag in ("z", "a", "m")[: 3 if k < runs_of_last else 2]:
+            acc = means[tag] + rng.normal() * 0.05
+            runs.append(run_record(len(runs), tag, k, 1.0, acc, 0.0))
+    return bench.EvalReport(runs=runs, aggregates={}, fraction_aggregates=[])
+
+
+def test_comparisons_cover_every_pair_in_run_order():
+    rep = three_model_report()
+    rows = report.add_model_comparisons(rep)
+    assert [(r["test_name"], r["groups"]) for r in rows] == [
+        ("welch_one_tailed_greater", "z vs a"), ("levene", "z vs a"),
+        ("welch_one_tailed_greater", "z vs m"), ("levene", "z vs m"),
+        ("welch_one_tailed_greater", "a vs m"), ("levene", "a vs m"),
+    ]
+    acc = {tag: [r.accuracy for r in rep.runs if r.model_tag == tag] for tag in "zam"}
+    for row in rows:
+        a, b = (np.array(acc[t]) for t in row["groups"].split(" vs "))
+        if row["test_name"] == "levene":
+            want = stats.levene_test([a, b])
+        else:
+            want = stats.welch_t_one_tailed(a, b, "greater")
+        assert (row["statistic"], row["p_value"]) == want
+        # Bonferroni over the family of six
+        assert row["corrected_p"] == min(1.0, 6 * row["p_value"])
+        verdict = "significant" if row["corrected_p"] < 0.05 else "not_significant"
+        assert row["verdict"] == verdict
+
+
+def test_no_comparisons_when_a_model_has_one_run():
+    rep = three_model_report(runs_of_last=1)
+    assert report.add_model_comparisons(rep) == []
+    assert rep.stats == []
+    single = bench.EvalReport(runs=three_model_report().runs[:1] * 3,
+                              aggregates={}, fraction_aggregates=[])
+    assert report.add_model_comparisons(single) == []  # one model
