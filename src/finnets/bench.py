@@ -235,7 +235,11 @@ def export_dataset_csv(data: LabeledDataset, path) -> None:
     """One row per (item, channel); channels of an item are adjacent.
 
     Values are `%.17g`, one `%` call per row; no field ever needs quoting.
+    A non-finite value raises `ValueError` before the file is opened.
     """
+    bad = np.argwhere(~np.isfinite(data.inputs))
+    if bad.size:
+        raise ValueError(f"item {bad[0, 0]} channel {bad[0, 1]} holds a non-finite value")
     header = ["item_id", "subject_id", "label", "channel"]
     header += [f"v{j}" for j in range(data.tf_dim)]
     values = ",".join(["%.17g"] * data.tf_dim) + "\n"

@@ -15,7 +15,6 @@ Exit codes: 0 ok, 1 check failed, 2 config error, 3 training divergence,
 import argparse
 import contextlib
 import csv
-import json
 import os
 import sys
 
@@ -28,7 +27,7 @@ from . import nets
 from . import report as rp
 from . import signals as sg
 from .bench import _fmt
-from .engine import _canonical_json
+from .engine import _canonical_json, _read_json
 from .errors import (
     CorruptArtifact,
     CorpusDegenerateError,
@@ -74,10 +73,10 @@ def _read_config(args) -> dict:
     """
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            file_cfg = _read_json(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise CliError("config file must hold a JSON object")
@@ -214,6 +213,8 @@ def cmd_inspect(args) -> int:
     print(f"norm_lo: {lo}")
     print(f"norm_hi: {hi}")
     print(f"gen_spec_digest: {artifact.gen_spec_digest}")
+    print(f"format_version: {en.FORMAT_VERSION}")
+    print(f"sha256: {artifact.sha256}")
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ ensemble therefore still differs from `attach_head`, which consumes the
 penultimate representation instead of the imitated feature.
 """
 
-import base64
+import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
 from .nets import DenseNet, Topology, TrainConfig
 from .rng import derive_seed, rng_for
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 NORM_PERCENTILES = (0.1, 99.9)
 DEFAULT_N_SIGNALS = 20000
 VAL_FRACTION = 0.15
@@ -58,7 +59,7 @@ class FinArtifact:
     norm_hi: np.ndarray
     gen_spec_digest: str
     history_summary: dict
-    format_version: int = FORMAT_VERSION
+    sha256: str = None  # the digest recorded in the file it was loaded from
 
     def __post_init__(self):
         if self.feature not in fe.FEATURE_NAMES:
@@ -199,25 +200,30 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _pack_weights(net: DenseNet) -> bytes:
-    """Base64 of the layer-by-layer f32 payload: each weight matrix as
-    (out, in), row-major (transposed from memory), then its bias."""
-    chunks = []
-    for w, b in zip(net.weights, net.biases):
-        chunks.append(np.ascontiguousarray(w.T, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
-    return base64.b64encode(b"".join(chunks))
+def _finite_number(text: str) -> float:
+    """`json`'s hook for NaN, Infinity, -Infinity and numbers with a
+    fraction or exponent: it refuses any that is not finite, such as 1e400."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _read_json(text):
+    """The document in JSON `text`; a non-finite number is a `ValueError`."""
+    return json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+
+
+def _fin_digest(header: dict, payload: bytes) -> str:
+    """SHA-256 of the canonical header (without `sha256`), then the payload."""
+    return hashlib.sha256(_canonical_json(header).encode("ascii") + payload).hexdigest()
 
 
 def save_fin(artifact: FinArtifact, path) -> None:
-    """Write the canonical JSON of the artifact's document, one line.
-
-    The base64 payload needs no escaping and `"weights"` sorts after
-    every other key, so the line is the canonical header with the payload
-    spliced in as its last member, and `json` never scans the payload.
-    """
+    """Write format v2: the canonical JSON header line, then the net's
+    parameter buffer as little-endian float32 in memory order."""
     header = {
-        "format_version": artifact.format_version,
+        "format_version": FORMAT_VERSION,
         "feature": artifact.feature,
         "topology": {
             "layer_sizes": list(artifact.net.topology.layer_sizes),
@@ -231,13 +237,11 @@ def save_fin(artifact: FinArtifact, path) -> None:
             "epochs": int(artifact.history_summary["epochs"]),
         },
     }
-    assert max(header) < "weights"
-    head = _canonical_json(header).encode("ascii")
+    payload = artifact.net.buffer.astype("<f4", copy=False).tobytes()
+    header["sha256"] = _fin_digest(header, payload)
     with open(path, "wb") as fh:
-        fh.write(head[:-2])  # without the closing "}\n"
-        fh.write(b',"weights":"')
-        fh.write(_pack_weights(artifact.net))
-        fh.write(b'"}\n')
+        fh.write(_canonical_json(header).encode("ascii"))
+        fh.write(payload)
 
 
 def _json_typed(value, types, field: str):
@@ -247,26 +251,27 @@ def _json_typed(value, types, field: str):
     return value
 
 
-def _reject_constant(name: str):
-    """`json`'s hook for NaN, Infinity and -Infinity, which JSON lacks."""
-    raise CorruptArtifact(f"non-finite number {name} is not JSON")
-
-
 def load_fin(path) -> FinArtifact:
-    """Read a `.fin` file, validating version, field types, finite
+    """Read a `.fin` file, validating version, digest, field types, finite
     numbers, shapes, and payload size."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptArtifact(f"unparseable artifact: {exc}") from exc
+        doc = _read_json(line)
+    except ValueError as exc:
+        raise CorruptArtifact(f"unparseable artifact header: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CorruptArtifact("artifact root must be an object")
+        raise CorruptArtifact("artifact header must be an object")
     version = doc.get("format_version")
     if version is not None:
         _json_typed(version, int, "format_version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"format_version {version!r} is not supported")
+        raise UnsupportedVersion(f"format_version {version!r} is not supported;"
+                                 f" re-run `fin pretrain` to write version {FORMAT_VERSION}")
+    sha256 = doc.pop("sha256", None)
+    if sha256 != _fin_digest(doc, payload):
+        raise CorruptArtifact("sha256 is missing or does not match the header and payload")
     number = (int, float)
     try:
         topology = doc["topology"]
@@ -286,27 +291,16 @@ def load_fin(path) -> FinArtifact:
             "best_val_loss": float(best),
             "epochs": _json_typed(hist["epochs"], int, "epochs"),
         }
-        payload = base64.b64decode(doc["weights"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"malformed artifact field: {exc}") from exc
     if not (isinstance(digest, str) and len(digest) == 64
             and all(c in "0123456789abcdef" for c in digest)):
         raise CorruptArtifact("gen_spec_digest must be a 64-char hex string")
 
-    sizes = topo.layer_sizes
-    expected = nets.count_params(topo)
-    if len(payload) != 4 * expected:
-        raise CorruptArtifact(
-            f"weight payload holds {len(payload)} bytes, expected {4 * expected}"
-        )
-    flat = np.frombuffer(payload, dtype="<f4")
-    weights, biases, cursor = [], [], 0
-    for i in range(len(sizes) - 1):
-        o, n = sizes[i + 1], sizes[i]
-        weights.append(flat[cursor : cursor + o * n].reshape(o, n).T)
-        cursor += o * n
-        biases.append(flat[cursor : cursor + o])
-        cursor += o
+    expected = 4 * nets.count_params(topo)
+    if len(payload) != expected:
+        raise CorruptArtifact(f"weight payload holds {len(payload)} bytes, expected {expected}")
+    weights, biases = nets.layer_views(topo, np.frombuffer(payload, dtype="<f4"))
     try:
         return FinArtifact(
             feature=feature,
@@ -315,6 +309,7 @@ def load_fin(path) -> FinArtifact:
             norm_hi=norm_hi,
             gen_spec_digest=digest,
             history_summary=summary,
+            sha256=sha256,
         )
     except (ShapeError, ValueError) as exc:
         raise CorruptArtifact(str(exc)) from exc
@@ -485,7 +480,7 @@ class EnsembleNet:
             d_out = block.reshape(batch * self.n_channels, width)
             acts = branch.topology.activations
             d_final = nets._activation_delta(acts[-1], pre[-1], post[-1], d_out)
-            grads_w, grads_b = branch.layer_views(grad_block)
+            grads_w, grads_b = nets.layer_views(branch.topology, grad_block)
             nets.backward_stack(branch.weights, acts, pre, post, d_final, grads_w, grads_b)
         np.matmul(delta.T, concat, out=grad_head_w)
         np.sum(delta, axis=0, out=grad_head_b)

@@ -102,6 +102,14 @@ def flat_views(buffer: np.ndarray, shapes) -> list:
     return views
 
 
+def layer_views(topology: Topology, buffer: np.ndarray):
+    """(weights, biases) views of a flat array laid out like the buffer of
+    a net of this topology, such as its gradient buffer or a loaded file."""
+    sizes = topology.layer_sizes
+    views = flat_views(buffer, [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))])
+    return views[0::2], views[1::2]
+
+
 @dataclass
 class DenseNet:
     """A stack of affine layers; weights are (in, out), biases (out,).
@@ -125,7 +133,7 @@ class DenseNet:
             raise ShapeError("layer count mismatch")
         given = self.parameters()
         self.buffer = parameter_buffer(count_params(self.topology), self.buffer)
-        self.weights, self.biases = self.layer_views(self.buffer)
+        self.weights, self.biases = layer_views(self.topology, self.buffer)
         for k, (view, array) in enumerate(zip(self.parameters(), given)):
             array = np.asarray(array)
             if array.shape != view.shape:
@@ -133,14 +141,6 @@ class DenseNet:
             view[...] = array
             if not np.all(np.isfinite(view)):
                 raise ValueError(f"layer {k // 2} parameters must be finite")
-
-    def layer_views(self, buffer: np.ndarray):
-        """(weights, biases) views of a flat array laid out like this
-        net's buffer, such as a gradient buffer."""
-        sizes = self.topology.layer_sizes
-        shapes = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
-        views = flat_views(buffer, shapes)
-        return views[0::2], views[1::2]
 
     def parameters(self) -> list:
         """Live parameter arrays, interleaved [W0, b0, W1, b1, ...]."""
@@ -314,7 +314,7 @@ def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, grad=None):
 
     if grad is None:
         grad = np.empty_like(net.buffer)
-    grads_w, grads_b = net.layer_views(grad)
+    grads_w, grads_b = layer_views(net.topology, grad)
     backward_stack(net.weights, acts, pre, post, delta, grads_w, grads_b)
     return grad, value
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -107,6 +108,9 @@ def test_inspect_prints_summary(artifact_path, capsys):
     assert "feature: entropy" in out
     assert "layer_sizes: 1024x512x256x64x1" in out
     assert "gen_spec_digest:" in out
+    assert "format_version: 2\n" in out
+    header = json.loads(Path(artifact_path).read_bytes().split(b"\n", 1)[0])
+    assert f"sha256: {header['sha256']}\n" in out
 
 
 def test_inspect_corrupt_file(tmp_path, capsys):
@@ -124,25 +128,51 @@ def test_inspect_truncated_artifact(artifact_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def resigned_copy(artifact_path, tmp_path, edit):
+    """A copy of the artifact whose header document `edit` changed. The
+    payload bytes are kept and `sha256` is recomputed as the format defines
+    it, so only the edit itself can make the copy fail to load."""
+    def canonical(doc):
+        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+    line, payload = Path(artifact_path).read_bytes().split(b"\n", 1)
+    doc = json.loads(line)
+    edit(doc)
+    del doc["sha256"]
+    doc["sha256"] = hashlib.sha256(canonical(doc) + payload).hexdigest()
+    copy = tmp_path / "bad.fin"
+    copy.write_bytes(canonical(doc) + payload)
+    return copy
+
+
 def test_inspect_field_of_the_wrong_json_type(artifact_path, tmp_path, capsys):
-    doc = json.loads(Path(artifact_path).read_text())
-    doc["history_summary"]["epochs"] += 0.7
-    bad = tmp_path / "bad.fin"
-    bad.write_text(json.dumps(doc))
+    def fractional_epochs(doc):
+        doc["history_summary"]["epochs"] += 0.7
+
+    assert main(["inspect", artifact_path]) == 0  # the untouched file is the clean control
+    bad = resigned_copy(artifact_path, tmp_path, fractional_epochs)
     assert main(["inspect", str(bad)]) == 4
     assert "epochs" in capsys.readouterr().err
 
 
 def test_inspect_non_finite_constant(artifact_path, tmp_path, capsys):
-    doc = json.loads(Path(artifact_path).read_text())
-    doc["history_summary"]["best_val_loss"] = float("nan")
-    bad = tmp_path / "bad.fin"
-    bad.write_text(json.dumps(doc))
-    assert "NaN" in bad.read_text()
-    assert main(["inspect", str(bad)]) == 4
-    captured = capsys.readouterr()
-    assert "non-finite number NaN" in captured.err
-    assert "best_val_loss" not in captured.out
+    stand_in = 0.123456789
+
+    def set_loss(doc):
+        doc["history_summary"]["best_val_loss"] = stand_in
+
+    bad = resigned_copy(artifact_path, tmp_path, set_loss)
+    assert main(["inspect", str(bad)]) == 0  # the finite stand-in is the clean control
+    assert f"best_val_loss: {stand_in}" in capsys.readouterr().out
+    line, payload = bad.read_bytes().split(b"\n", 1)
+    assert line.count(repr(stand_in).encode()) == 1
+    # NaN is not JSON at all; 1e400 is, but it overflows a float to inf
+    for token in ("NaN", "1e400"):
+        bad.write_bytes(line.replace(repr(stand_in).encode(), token.encode()) + b"\n" + payload)
+        assert main(["inspect", str(bad)]) == 4
+        captured = capsys.readouterr()
+        assert f"non-finite number {token}" in captured.err
+        assert "best_val_loss" not in captured.out
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +569,24 @@ def test_config_file_errors(tmp_path, capsys):
                               "--config", str(tmp_path / "missing.json"),
                               "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_config_non_finite_numbers_are_config_errors(tmp_path, capsys):
+    # Python's json reads Infinity, which JSON lacks, and reads 1e400 as inf
+    for i, token in enumerate(["Infinity", "1e400", "0.02"]):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(f'{{"learning_rate": {token}}}')
+        out = tmp_path / f"run{i}"
+        code = main(BENCH_BASE + ["--models", "knn", "--config", str(cfg),
+                                  "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if token == "0.02":  # the finite value is the clean control
+            assert code == 0, err
+            assert json.loads((out / "config.json").read_text())["learning_rate"] == 0.02
+        else:
+            assert code == EXIT_CONFIG, err
+            assert f"non-finite number {token}" in err
+            assert not (out / "config.json").exists()
 
 
 def test_config_values_are_typed_like_their_flags(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Pretraining, artifact persistence, head transfer, and ensembles."""
 
 import base64
+import hashlib
 import json
+import re
 import sys
 import threading
 
@@ -209,12 +211,47 @@ def test_reconstruction_names_the_failing_feature_and_signal():
 # persistence
 # ---------------------------------------------------------------------------
 
+def canonical_json(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def split_fin(path):
+    """(header document, payload bytes) of a `.fin` file."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def rewrite_header(path, edit, sign=True):
+    """Apply `edit` to the header document of the `.fin` at `path` and keep
+    its payload bytes. With `sign`, `sha256` is recomputed as the format
+    defines it, so only the edit itself can make the file fail to load."""
+    header, payload = split_fin(path)
+    edit(header)
+    if sign:
+        header.pop("sha256", None)
+        header["sha256"] = hashlib.sha256(canonical_json(header) + payload).hexdigest()
+    path.write_bytes(canonical_json(header) + payload)
+
+
+def saved(artifact, tmp_path, name="a.fin"):
+    path = tmp_path / name
+    engine.save_fin(artifact, path)
+    return path
+
+
+def stock_artifact():
+    """An untrained net of the stock 1024-512-256-64-1 shape."""
+    topology = engine.default_fin_topology(1024, 1)
+    return engine.FinArtifact(
+        "entropy", nets.init_random(topology, 4), np.zeros(1), np.ones(1), "0" * 64,
+        {"best_val_loss": 0.1, "epochs": 1},
+    )
+
+
 def test_save_load_resave_byte_identical(tiny_artifact, tmp_path):
-    first = tmp_path / "a.fin"
-    second = tmp_path / "b.fin"
-    engine.save_fin(tiny_artifact, first)
+    first = saved(tiny_artifact, tmp_path, "a.fin")
     loaded = engine.load_fin(first)
-    engine.save_fin(loaded, second)
+    second = saved(loaded, tmp_path, "b.fin")
     assert first.read_bytes() == second.read_bytes()
     assert loaded.feature == tiny_artifact.feature
     np.testing.assert_array_equal(loaded.norm_lo, tiny_artifact.norm_lo)
@@ -222,61 +259,59 @@ def test_save_load_resave_byte_identical(tiny_artifact, tmp_path):
 
 def is_canonical_json_line(data: bytes) -> bool:
     """Whether `data` is the sorted, compact JSON of its own document."""
-    doc = json.loads(data)
-    return data == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return data == canonical_json(json.loads(data))
 
 
-def test_fin_file_is_the_canonical_json_of_its_document(tiny_artifact, tmp_path):
-    stock = engine.FinArtifact(
-        "entropy",
-        nets.init_random(nets.Topology((1024, 512, 256, 64, 1),
-                                       ("relu", "relu", "relu", "linear")), 4),
-        np.zeros(1), np.ones(1), "0" * 64, {"best_val_loss": 0.1, "epochs": 1},
-    )
-    for name, art in (("tiny", tiny_artifact), ("stock", stock)):
-        path = tmp_path / f"{name}.fin"
-        engine.save_fin(art, path)
+def test_fin_header_is_the_canonical_json_of_its_document(tiny_artifact, tmp_path):
+    for name, art in (("tiny", tiny_artifact), ("stock", stock_artifact())):
+        path = saved(art, tmp_path, f"{name}.fin")
         data = path.read_bytes()
-        assert is_canonical_json_line(data), name
-    # controls: the same document with spaced separators, or weights first
-    doc = json.loads(data)
-    spaced = json.dumps(doc, sort_keys=True, separators=(", ", ":")) + "\n"
+        line = data[: data.index(b"\n") + 1]
+        assert is_canonical_json_line(line), name
+        header = json.loads(line)
+        assert header["format_version"] == 2
+        assert sorted(header) == ["feature", "format_version", "gen_spec_digest",
+                                  "history_summary", "norm_hi", "norm_lo", "sha256",
+                                  "topology"]
+        # the digest is the documented one: re-signing leaves every byte as it was
+        rewrite_header(path, lambda doc: None)
+        assert path.read_bytes() == data, name
+    # controls: the same document with spaced separators, or unsorted keys
+    spaced = json.dumps(header, sort_keys=True, separators=(", ", ":")) + "\n"
     assert not is_canonical_json_line(spaced.encode())
-    weights_first = {"weights": doc.pop("weights"), **doc}
-    unsorted = json.dumps(weights_first, separators=(",", ":")) + "\n"
+    sha_first = {"sha256": header.pop("sha256"), **header}
+    unsorted = json.dumps(sha_first, separators=(",", ":")) + "\n"
     assert not is_canonical_json_line(unsorted.encode())
 
 
-def test_fin_payload_is_out_in_row_major(tmp_path):
-    # (out, in) matrices as the file stores them; the net holds (in, out)
-    out_in = [np.arange(12.0).reshape(4, 3), 12.0 + np.arange(8.0).reshape(2, 4)]
+def test_fin_payload_is_the_parameter_buffer(tiny_artifact, tmp_path):
+    for name, art in (("tiny", tiny_artifact), ("stock", stock_artifact())):
+        _, payload = split_fin(saved(art, tmp_path, f"{name}.fin"))
+        assert payload == art.net.buffer.astype("<f4").tobytes(), name
+    # a small net spelled out: (in, out) matrices row-major, each before its bias
+    in_out = [np.arange(12.0).reshape(3, 4), 12.0 + np.arange(8.0).reshape(4, 2)]
     biases = [-1.0 - np.arange(4.0), np.array([-5.0, -6.0])]
-    net = nets.DenseNet(
-        nets.Topology((3, 4, 2), ("relu", "linear")), [m.T for m in out_in], biases
-    )
+    net = nets.DenseNet(nets.Topology((3, 4, 2), ("relu", "linear")), in_out, biases)
     art = engine.FinArtifact(
         "entropy", net, np.zeros(2), np.ones(2), "0" * 64,
         {"best_val_loss": 0.1, "epochs": 1},
     )
-    first, second = tmp_path / "a.fin", tmp_path / "b.fin"
-    engine.save_fin(art, first)
-    payload = base64.b64decode(json.loads(first.read_text())["weights"])
-    np.testing.assert_array_equal(
-        np.frombuffer(payload, dtype="<f4"),
-        np.concatenate([out_in[0].ravel(), biases[0], out_in[1].ravel(), biases[1]]),
-    )
-    loaded = engine.load_fin(first)
-    engine.save_fin(loaded, second)
-    assert first.read_bytes() == second.read_bytes()
+    path = saved(art, tmp_path)
+    _, payload = split_fin(path)
+    memory_order = [in_out[0].ravel(), biases[0], in_out[1].ravel(), biases[1]]
+    np.testing.assert_array_equal(np.frombuffer(payload, dtype="<f4"),
+                                  np.concatenate(memory_order))
+    # control: the transposed (out, in) layout of format 1 is not what is written
+    out_in = [in_out[0].T.ravel(), biases[0], in_out[1].T.ravel(), biases[1]]
+    assert payload != np.concatenate(out_in).astype("<f4").tobytes()
+    loaded = engine.load_fin(path)
     for back, w in zip(loaded.net.weights, net.weights):
         assert back.shape == w.shape
         np.testing.assert_array_equal(back, w)
 
 
 def test_loaded_fin_is_the_trained_net(tiny_artifact, tmp_path):
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
-    loaded = engine.load_fin(path)
+    loaded = engine.load_fin(saved(tiny_artifact, tmp_path))
     for trained, back in zip(
         tiny_artifact.net.parameters(), loaded.net.parameters()
     ):
@@ -292,9 +327,7 @@ def test_transfer_paths_keep_float32(tiny_artifact, tmp_path):
     def all_f32(model):
         return all(p.dtype == np.float32 for p in model.parameters())
 
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
-    loaded = engine.load_fin(path)
+    loaded = engine.load_fin(saved(tiny_artifact, tmp_path))
     head = engine.attach_head(loaded, 2, seed=1)
     ens = engine.build_ensemble([loaded], n_channels=2, n_classes=2, seed=1)
     assert all_f32(tiny_artifact.net) and all_f32(loaded.net)
@@ -316,45 +349,108 @@ def test_transfer_paths_keep_float32(tiny_artifact, tmp_path):
 
 
 def test_truncated_file_is_corrupt(tiny_artifact, tmp_path):
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CorruptArtifact):
         engine.load_fin(path)
 
 
+def test_flipped_payload_bit_fails_the_digest(tiny_artifact, tmp_path):
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x01  # a mantissa bit of the last bias: the value stays finite
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptArtifact, match="sha256"):
+        engine.load_fin(path)
+    # re-signed, the altered file loads: only the digest caught the flip
+    rewrite_header(path, lambda doc: None)
+    loaded = engine.load_fin(path)
+    changed = loaded.net.buffer != tiny_artifact.net.buffer
+    assert np.flatnonzero(changed).tolist() == [loaded.net.buffer.size - 1]
+
+
+def test_header_edited_under_the_old_digest_is_corrupt(tiny_artifact, tmp_path):
+    def lower(doc):
+        doc["norm_lo"][0] -= 0.5
+
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    rewrite_header(path, lower, sign=False)
+    with pytest.raises(CorruptArtifact, match="sha256"):
+        engine.load_fin(path)
+    # the same edit, re-signed, loads with the edited value
+    path = saved(tiny_artifact, tmp_path, "b.fin")
+    rewrite_header(path, lower)
+    assert engine.load_fin(path).norm_lo[0] == tiny_artifact.norm_lo[0] - 0.5
+
+
+def test_missing_digest_is_corrupt(tiny_artifact, tmp_path):
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    rewrite_header(path, lambda doc: doc.pop("sha256"), sign=False)
+    with pytest.raises(CorruptArtifact, match="sha256"):
+        engine.load_fin(path)
+
+
+def test_payload_of_another_length_fails_the_digest(tiny_artifact, tmp_path):
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    data = path.read_bytes()
+    for cut in (data[:-4], data + b"\0"):  # one float short, one byte long
+        path.write_bytes(cut)
+        with pytest.raises(CorruptArtifact, match="sha256"):
+            engine.load_fin(path)
+
+
+def test_format_1_file_is_unsupported(tiny_artifact, tmp_path):
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    header, payload = split_fin(path)
+    del header["sha256"]
+    # format 1: one JSON line, the weights base64 in a last "weights" member
+    v1 = {**header, "format_version": 1, "weights": base64.b64encode(payload).decode()}
+    path.write_bytes(canonical_json(v1))
+    with pytest.raises(UnsupportedVersion, match=r"format_version 1 .*fin pretrain"):
+        engine.load_fin(path)
+
+
 def test_future_version_is_unsupported(tiny_artifact, tmp_path):
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = engine.FORMAT_VERSION + 1
-    path.write_text(json.dumps(doc))
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    rewrite_header(path, lambda doc: doc.update(format_version=engine.FORMAT_VERSION + 1))
     with pytest.raises(UnsupportedVersion):
         engine.load_fin(path)
 
 
 def test_corrupt_payload_and_fields(tiny_artifact, tmp_path):
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
-    doc = json.loads(path.read_text())
+    # each file is re-signed, so the field checks, not the digest, reject it
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    data = path.read_bytes()
 
-    short = dict(doc)
-    short["weights"] = doc["weights"][: len(doc["weights"]) // 2]
-    path.write_text(json.dumps(short))
-    with pytest.raises(CorruptArtifact):
+    path.write_bytes(data[:-4])
+    rewrite_header(path, lambda doc: None)
+    with pytest.raises(CorruptArtifact, match="payload holds"):
         engine.load_fin(path)
 
-    missing = {k: v for k, v in doc.items() if k != "norm_lo"}
-    path.write_text(json.dumps(missing))
-    with pytest.raises(CorruptArtifact):
+    path.write_bytes(data)
+    rewrite_header(path, lambda doc: doc.pop("norm_lo"))
+    with pytest.raises(CorruptArtifact, match="norm_lo"):
         engine.load_fin(path)
 
-    bad_digest = dict(doc)
-    bad_digest["gen_spec_digest"] = "zz"
-    path.write_text(json.dumps(bad_digest))
-    with pytest.raises(CorruptArtifact):
+    path.write_bytes(data)
+    rewrite_header(path, lambda doc: doc.update(gen_spec_digest="zz"))
+    with pytest.raises(CorruptArtifact, match="gen_spec_digest"):
         engine.load_fin(path)
+
+
+def set_field(doc, where, value):
+    for key in where[:-1]:
+        doc = doc[key]
+    doc[where[-1]] = value
 
 
 @pytest.mark.parametrize("where, value", [
@@ -369,32 +465,31 @@ def test_corrupt_payload_and_fields(tiny_artifact, tmp_path):
     (("norm_hi",), [True]),
 ], ids=repr)
 def test_fields_of_the_wrong_json_type_are_corrupt(tiny_artifact, tmp_path, where, value):
-    # each value is, or converts to, a number: only its JSON type is wrong
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
+    # each value is, or converts to, a number: only its JSON type is wrong,
+    # and the file is re-signed, so the digest does not reject it
+    path = saved(tiny_artifact, tmp_path)
     engine.load_fin(path)  # the untouched file is the clean control
-    doc = json.loads(path.read_text())
-    parent = doc
-    for key in where[:-1]:
-        parent = parent[key]
-    parent[where[-1]] = value
-    path.write_text(json.dumps(doc))
+    rewrite_header(path, lambda doc: set_field(doc, where, value))
     with pytest.raises(CorruptArtifact, match="wrong JSON type"):
         engine.load_fin(path)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"],
+                         ids=["nan", "inf", "-inf", "1e400", "-1e400"])
 @pytest.mark.parametrize("where", [("history_summary", "best_val_loss"), ("norm_lo", 0)],
                          ids=repr)
-def test_non_finite_json_constants_are_corrupt(tiny_artifact, tmp_path, where, value):
-    # json writes these as NaN, Infinity and -Infinity, which JSON lacks
-    path = tmp_path / "a.fin"
-    engine.save_fin(tiny_artifact, path)
-    engine.load_fin(path)  # the untouched file is the clean control
-    doc = json.loads(path.read_text())
-    doc[where[0]][where[1]] = value
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptArtifact, match="non-finite"):
+def test_non_finite_json_constants_are_corrupt(tiny_artifact, tmp_path, where, token):
+    # Python's json reads the NaN and Infinity constants, which JSON lacks,
+    # and reads 1e400, which is JSON, as inf
+    stand_in = 0.123456789
+    path = saved(tiny_artifact, tmp_path)
+    rewrite_header(path, lambda doc: set_field(doc, where, stand_in))
+    engine.load_fin(path)  # the finite stand-in is the clean control
+    line, payload = path.read_bytes().split(b"\n", 1)
+    assert line.count(repr(stand_in).encode()) == 1
+    line = line.replace(repr(stand_in).encode(), token.encode())
+    path.write_bytes(line + b"\n" + payload)
+    with pytest.raises(CorruptArtifact, match=f"non-finite number {re.escape(token)}"):
         engine.load_fin(path)
 
 
