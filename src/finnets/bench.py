@@ -13,6 +13,7 @@ indices; test items reach a fitted predictor only at final evaluation.
 
 import csv
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -252,12 +253,50 @@ def export_dataset_csv(data: LabeledDataset, path) -> None:
                 fh.write(f"{i},{subject},{data.labels[i]},{c}," + values % row)
 
 
-def ingest_dataset_csv(path) -> LabeledDataset:
-    """Parse the dataset interchange schema, validating as it reads.
+def _check_records(records, n_fields=None):
+    """Per-record checks in file order over (row, fields, values finite);
+    a `csv.reader` row comes with `finite` None and is measured and parsed
+    here. Returns [item_id, subject, label, first row, channels] per item."""
+    items, seen = [], set()
+    for row_no, row, finite in records:
+        if finite is None and len(row) != n_fields:
+            raise IngestError(row_no, f"expected {n_fields} fields, got {len(row)}")
+        item_id, subject, label_s, channel_s = row[:4]
+        try:
+            label, channel = int(label_s), int(channel_s)
+            if finite is None:  # numpy's reader takes ASCII numbers without underscores
+                values = [v.strip() for v in row[4:]]
+                finite = np.isfinite([float(v) for v in values]).all()
+                if any("_" in v or not v.isascii() for v in values):
+                    raise ValueError("a number holds an underscore or a non-ASCII character")
+        except ValueError as exc:
+            raise IngestError(row_no, f"bad numeric field: {exc}") from None
+        if not finite:
+            raise IngestError(row_no, "values must be finite")
+        if label < 0:
+            raise IngestError(row_no, "labels must be non-negative")
+        if not items or items[-1][0] != item_id:
+            if item_id in seen:
+                raise IngestError(row_no, f"channels of item {item_id} are not adjacent")
+            seen.add(item_id)
+            items.append([item_id, subject, label, row_no, 0])
+        current = items[-1]
+        if subject != current[1]:
+            raise IngestError(row_no, f"item {item_id} changes subject_id")
+        if label != current[2]:
+            raise IngestError(row_no, f"item {item_id} changes label")
+        if channel != current[4]:
+            raise IngestError(row_no, f"expected channel {current[4]}, got {channel}")
+        current[4] += 1
+    return items
 
-    Violations, a non-finite value among them, raise `IngestError`
-    carrying the 1-based row number (header = row 1).
-    """
+
+def ingest_dataset_csv(path) -> LabeledDataset:
+    """Parse the dataset interchange schema: `csv.reader` reads the header
+    and one `np.loadtxt` call with CSV quoting the body. Violations, a
+    non-finite value among them, raise `IngestError` carrying the 1-based
+    record number (header = row 1), or an item's first row; where numpy
+    rejects a record or skips a blank line, a `csv.reader` pass names it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -269,63 +308,49 @@ def ingest_dataset_csv(path) -> LabeledDataset:
         tf_dim = len(header) - 4
         if tf_dim < 1 or header[4:] != [f"v{j}" for j in range(tf_dim)]:
             raise IngestError(1, "value columns must be v0..v{d-1}")
+        blank, error = [], None
 
-        items = []  # (item_id, subject, label, [channel rows])
-        seen = set()
-        current = None
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 4 + tf_dim:
-                raise IngestError(row_no, f"expected {4 + tf_dim} fields, got {len(row)}")
-            item_id, subject, label_s, channel_s = row[:4]
-            try:
-                label = int(label_s)
-                channel = int(channel_s)
-                values = np.array(list(map(float, row[4:])))
-            except ValueError as exc:
-                raise IngestError(row_no, f"bad numeric field: {exc}") from None
-            if not np.all(np.isfinite(values)):
-                raise IngestError(row_no, "values must be finite")
-            if label < 0:
-                raise IngestError(row_no, "labels must be non-negative")
-            if current is None or current[0] != item_id:
-                if item_id in seen:
-                    raise IngestError(row_no, f"channels of item {item_id} are not adjacent")
-                seen.add(item_id)
-                current = (item_id, subject, label, [])
-                items.append(current)
-            if subject != current[1]:
-                raise IngestError(row_no, f"item {item_id} changes subject_id")
-            if label != current[2]:
-                raise IngestError(row_no, f"item {item_id} changes label")
-            if channel != len(current[3]):
-                raise IngestError(row_no, f"expected channel {len(current[3])}, got {channel}")
-            current[3].append(values)
+        def lines():
+            for line in fh:
+                if line in ("\n", "\r\n", "\r"):  # numpy skips it
+                    blank.append(line)
+                yield line
 
+        try:
+            with warnings.catch_warnings():  # an empty body is named below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    lines(), dtype=[("meta", object, (4,)), ("values", np.float64, (tf_dim,))],
+                    delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except ValueError as exc:
+            error = exc
+    if error or blank:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = enumerate(csv.reader(fh), start=1)
+            next(records)
+            _check_records(((n, row, None) for n, row in records), 4 + tf_dim)
+        if error:
+            raise error
+    finite = np.isfinite(table["values"]).all(axis=1).tolist()
+    items = _check_records(zip(range(2, len(table) + 2), table["meta"].tolist(), finite))
     if not items:
         raise IngestError(2, "no data rows")
-    n_channels = len(items[0][3])
-    subjects_empty = items[0][1] == ""
-    inputs, labels, subjects = [], [], []
-    for item_id, subject, label, rows in items:
-        if len(rows) != n_channels:
-            raise IngestError(2, f"item {item_id} has {len(rows)} channels, expected {n_channels}")
+    n_channels, subjects_empty = items[0][4], items[0][1] == ""
+    subjects = []
+    for item_id, subject, _, first, count in items:
+        if count != n_channels:
+            raise IngestError(first, f"item {item_id} has {count} channels, expected {n_channels}")
         if (subject == "") != subjects_empty:
-            raise IngestError(2, f"item {item_id} mixes empty and non-empty subject_id")
-        inputs.append(np.stack(rows))
-        labels.append(label)
+            raise IngestError(first, f"item {item_id} mixes empty and non-empty subject_id")
         if not subjects_empty:
             try:
                 subjects.append(int(subject))
             except ValueError:
-                raise IngestError(2, f"item {item_id} has non-integer subject_id") from None
-    labels = np.array(labels, dtype=np.int64)
-    return LabeledDataset(
-        np.stack(inputs),
-        labels,
-        int(labels.max()) + 1,
-        subject_ids=np.array(subjects, dtype=np.int64) if not subjects_empty else None,
-        meta={"task": f"csv:{path}"},
-    )
+                raise IngestError(first, f"item {item_id} has non-integer subject_id") from None
+    labels = np.array([item[2] for item in items], dtype=np.int64)
+    inputs = np.ascontiguousarray(table["values"]).reshape(len(items), n_channels, tf_dim)
+    return LabeledDataset(inputs, labels, int(labels.max()) + 1, meta={"task": f"csv:{path}"},
+                          subject_ids=None if subjects_empty else np.array(subjects))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Benchmark harness tests: splits, comparators, tasks, and the runner."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -736,9 +737,9 @@ def test_ingest_error_rows(tmp_path):
     assert ingest_error(tmp_path, "chanorder.csv", HEADER + "0,,0,1,1.0,2.0\n") == 2
     ragged = HEADER + "0,,0,0,1.0,2.0\n0,,0,1,1.0,2.0\n1,,1,0,1.0,2.0\n"
     ragged += "2,,0,0,1.0,2.0\n2,,0,1,1.0,2.0\n3,,1,0,1.0,2.0\n3,,1,1,1.0,2.0\n"
-    assert ingest_error(tmp_path, "ragged.csv", ragged) == 2
+    assert ingest_error(tmp_path, "ragged.csv", ragged) == 4  # item 1's first row
     mixed = HEADER + "0,,0,0,1.0,2.0\n1,7,1,0,1.0,2.0\n"
-    assert ingest_error(tmp_path, "mixed.csv", mixed) == 2
+    assert ingest_error(tmp_path, "mixed.csv", mixed) == 3  # item 1's first row
     badsub = HEADER + "0,x,0,0,1.0,2.0\n1,y,1,0,1.0,2.0\n"
     assert ingest_error(tmp_path, "badsub.csv", badsub) == 2
 
@@ -752,3 +753,104 @@ def test_ingest_rejects_non_finite_values(tmp_path):
     good = write_csv(tmp_path, "good.csv", rows + "2,,0,0,1e300,5e-324\n3,,1,0,1.0,2.0\n")
     back = bench.ingest_dataset_csv(good)
     assert back.inputs[2, 0].tolist() == [1e300, 5e-324]
+
+
+ROWS = ["0,,0,0,1.0,2.0\n", "1,,1,0,3.0,4.0\n", "2,,0,0,5.0,6.0\n", "3,,1,0,7.0,8.0\n"]
+
+
+def test_ingest_blank_lines_are_errors_at_their_row(tmp_path):
+    body = "".join(ROWS)
+    for name, blank in (("lf", "\n"), ("crlf", "\r\n")):
+        text = HEADER + ROWS[0] + blank + "".join(ROWS[1:])
+        assert ingest_error(tmp_path, f"mid_{name}.csv", text) == 3
+        assert ingest_error(tmp_path, f"tail_{name}.csv", HEADER + body + blank) == 6
+        assert ingest_error(tmp_path, f"only_{name}.csv", HEADER + blank) == 2
+    # control: the same records without a blank line
+    assert bench.ingest_dataset_csv(write_csv(tmp_path, "ok.csv", HEADER + body)).n_items == 4
+
+
+def test_ingest_line_endings(tmp_path):
+    text = HEADER + "".join(ROWS)
+    want = bench.ingest_dataset_csv(write_csv(tmp_path, "lf.csv", text))
+    for name, variant in (("crlf", text.replace("\n", "\r\n")), ("cr", text.replace("\n", "\r")),
+                          ("noeol", text[:-1]), ("crlf_noeol", text.replace("\n", "\r\n")[:-2])):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(variant.encode())
+        got = bench.ingest_dataset_csv(path)
+        assert np.array_equal(got.inputs, want.inputs), name
+        assert np.array_equal(got.labels, want.labels), name
+
+
+QUOTED_IDS = ['"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', '"a\n\nb"', '"a\r\n\r\nb"', '"""a"""']
+
+
+def test_ingest_quoted_item_ids_parse_as_the_csv_module(tmp_path):
+    ids = [next(csv.reader(io.StringIO(q, newline="")))[0] for q in QUOTED_IDS]
+    assert ids == ["a,b", 'a"b', "a\nb", "a\r\nb", "a\n\nb", "a\r\n\r\nb", '"a"']
+    # every id groups its two channels into one item; a blank line inside
+    # quotes is part of the id, not an error
+    text = HEADER + "".join(f"{q},,{i % 2},{c},{i}.5,{c}.5\n"
+                            for i, q in enumerate(QUOTED_IDS) for c in (0, 1))
+    back = bench.ingest_dataset_csv(write_csv(tmp_path, "ids.csv", text))
+    assert back.inputs.shape == (len(ids), 2, 2)
+    assert back.inputs[:, 1].tolist() == [[i + 0.5, 1.5] for i in range(len(ids))]
+    # the error for a split item names the id as the csv module reads it
+    for k, (q, item_id) in enumerate(zip(QUOTED_IDS, ids)):
+        text = HEADER + f"{q},,0,0,1.0,2.0\nz,,1,0,1.0,2.0\n{q},,0,1,1.0,2.0\n"
+        with pytest.raises(IngestError, match="are not adjacent") as info:
+            bench.ingest_dataset_csv(write_csv(tmp_path, f"split{k}.csv", text))
+        assert info.value.row == 4
+        assert f"channels of item {item_id} are not adjacent" in str(info.value)
+
+
+def test_ingest_numbers_are_plain_ascii(tmp_path):
+    # Python's `float` takes "1_0" as 10.0 and Arabic-Indic "\u0661" as 1.0;
+    # numpy's reader takes neither, so both are bad numeric fields now
+    rows = HEADER + "0,,0,0,1.0,2.0\n1,,1,0,3.0,4.0\n"
+    for i, bad in enumerate(("1_0", '"1_0"', "\u0661", "0x10", "", "1.0 2", '"1,0"')):
+        text = rows + f"2,,0,0,1.0,{bad}\n3,,1,0,1.0,2.0\n"
+        path = tmp_path / f"bad{i}.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(IngestError, match="bad numeric field") as info:
+            bench.ingest_dataset_csv(path)
+        assert info.value.row == 4, bad
+    # control: surrounding whitespace, Unicode included, is not part of a number
+    good = tmp_path / "good.csv"
+    good.write_bytes((rows + "2,,0,0, 1.5\u00a0,\t-2\n3,,1,0,1.0,2.0\n").encode())
+    assert bench.ingest_dataset_csv(good).inputs[2, 0].tolist() == [1.5, -2.0]
+
+
+def test_ingest_names_the_first_problem_in_file_order(tmp_path):
+    # numpy's read fails at row 4, but row 3 already changes its item's label
+    text = HEADER + "0,,0,0,1.0,2.0\n0,,1,1,1.0,2.0\n1,,1,0,1.0,1_0\n"
+    with pytest.raises(IngestError, match="item 0 changes label") as info:
+        bench.ingest_dataset_csv(write_csv(tmp_path, "label.csv", text))
+    assert info.value.row == 3
+    # within a row: field count, then label and channel, then the values
+    for name, row, message in (("count", "0,,zero,0,1_0\n", "expected 6 fields, got 5"),
+                               ("label", "0,,zero,0,1_0,nan\n", "invalid literal for int"),
+                               ("value", "0,,-1,0,1_0,nan\n", "underscore"),
+                               ("finite", "0,,-1,0,1.0,nan\n", "values must be finite")):
+        with pytest.raises(IngestError, match=message) as info:
+            bench.ingest_dataset_csv(write_csv(tmp_path, f"{name}.csv", HEADER + row))
+        assert info.value.row == 2
+
+
+HARD_DECIMALS = ("5e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+                 "9007199254740993", "0.1", "-0")
+
+
+def test_ingest_parses_hard_decimals_as_float_does(tmp_path):
+    want = np.array([float(s) for s in HARD_DECIMALS])
+    assert np.signbit(want[-1])
+    for quote in ("", '"'):
+        text = HEADER + "".join(f"{i},,{i % 2},0,{quote}{s}{quote},0\n"
+                                for i, s in enumerate(HARD_DECIMALS))
+        back = bench.ingest_dataset_csv(write_csv(tmp_path, f"hard{len(quote)}.csv", text))
+        got = back.inputs[:, 0, 0]
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), quote
+        # the values own a buffer of their own size, not a view of a wider table
+        root = back.inputs
+        while root.base is not None:
+            root = root.base
+        assert back.inputs.flags.c_contiguous and root.nbytes == back.inputs.nbytes

@@ -861,6 +861,60 @@ def test_pretrain_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
     assert saved[0] == saved[1]
 
 
+# prints the core name of the OpenBLAS numpy loaded, or nothing
+OPENBLAS_CORENAME = """
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for lib in glob.glob(os.path.join(libs, "*openblas*")):
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                   "openblas_get_corename"):
+        fn = getattr(ctypes.CDLL(lib), symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            print(fn().decode())
+            raise SystemExit
+"""
+
+
+def test_pretrain_under_another_blas_kernel_agrees_to_rounding(tmp_path, monkeypatch):
+    # the seeded pretrain of the BLAS-thread test under the default kernel
+    # and under the Haswell one; blocked float32 sums may round differently
+    # per kernel, so the bytes may or may not match and neither is asserted
+    entry_point = declared_console_script("fin")
+    kernels = {}
+    for coretype in ("", "Haswell"):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        probe = subprocess.run([sys.executable, "-c", OPENBLAS_CORENAME], capture_output=True,
+                               text=True, timeout=60, check=True)
+        kernels[coretype] = probe.stdout.strip()
+    if not kernels["Haswell"] or kernels[""] == kernels["Haswell"]:
+        pytest.skip(f"OPENBLAS_CORETYPE does not change the BLAS kernel here: {kernels}")
+
+    runs = []
+    for coretype in ("", "Haswell"):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        out = tmp_path / (coretype or "default")
+        proc = run_console_script(entry_point, [
+            "pretrain", "--feature", "entropy", "--signals", "600",
+            "--max-epochs", "3", "--patience", "3", "--recon-signals", "50",
+            "--out", "ent.fin", "--out-dir", str(out),
+        ], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((out, engine.load_fin(out / "ent.fin")))
+    (out_a, a), (out_b, b) = runs
+    assert (out_a / "recon_hist.csv").read_bytes() == (out_b / "recon_hist.csv").read_bytes()
+
+    # each SGD step may move a weight by one float32 rounding of the largest
+    # weight more under one kernel than under the other
+    cfg = json.loads((out_a / "config.json").read_text())
+    n_train = len(engine.split_indices(cfg["seed"], cfg["signals"])[0])
+    steps = a.history_summary["epochs"] * -(-n_train // cfg["batch_size"])
+    scale = max(np.abs(a.net.buffer).max(), np.abs(b.net.buffer).max())
+    tol = steps * np.finfo(np.float32).eps * scale
+    gap = np.abs(a.net.buffer.astype(np.float64) - b.net.buffer).max()
+    assert gap <= tol, (gap, tol, kernels)
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs at least 2 usable CPUs")
