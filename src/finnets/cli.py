@@ -403,6 +403,29 @@ def _read_signals_csv(path, sample_rate: float):
     return signals
 
 
+def _oracle_values(signals, feature: str, first_row) -> np.ndarray:
+    """(signals, width) raw values of `feature`, one `compute_features`
+    call per signal length. A failure names its signal's file row, where
+    the first signal is `first_row`, or no row when `first_row` is None."""
+    by_length = {}
+    for i, signal in enumerate(signals):
+        by_length.setdefault(len(signal), []).append(i)
+    raw = np.empty((len(signals), fe.feature_width(feature)))
+    for rows in by_length.values():
+        samples = np.stack([signals[i].samples for i in rows])
+        try:
+            raw[rows] = fe.compute_features(samples, signals[0].sample_rate, feature)
+        except ValueError as exc:
+            # a degenerate row is named; any other failure is the group's
+            # first row's
+            reason = getattr(exc, "reason", exc)
+            if first_row is None:
+                raise CliError(reason) from None
+            row = rows[getattr(exc, "row", None) or 0]
+            raise IngestError(first_row + row, reason) from None
+    return raw
+
+
 def cmd_oracle(args) -> int:
     feature = args.feature
     if feature not in fe.FEATURE_NAMES:
@@ -410,9 +433,10 @@ def cmd_oracle(args) -> int:
     if (args.demo is None) == (args.signals_csv is None):
         raise CliError("provide exactly one of --demo or --signals-csv")
     if args.demo is not None:
-        signals = [_demo_signal(args.demo)]
+        signals, first_row = [_demo_signal(args.demo)], None
     else:
-        signals = _read_signals_csv(args.signals_csv, args.sample_rate)
+        # the header is row 1
+        signals, first_row = _read_signals_csv(args.signals_csv, args.sample_rate), 2
     lo = hi = None
     if args.normalized:
         if args.artifact:
@@ -431,10 +455,10 @@ def cmd_oracle(args) -> int:
                 raise CliError(f"bad --range, want lo:hi: {exc}") from exc
         else:
             raise CliError("--normalized needs --artifact or --range")
-    for i, signal in enumerate(signals):
-        value = fe.compute_feature(signal, feature)
-        if lo is not None:
-            value = fe.normalize_feature(value, lo, hi)
+    values = _oracle_values(signals, feature, first_row)
+    if lo is not None:
+        values = fe.normalize_feature(values, lo, hi)
+    for i, value in enumerate(values):
         print(f"{i} " + " ".join(_fmt(v) for v in value))
     return EXIT_OK
 

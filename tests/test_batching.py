@@ -1,9 +1,11 @@
 """Batched front end and oracles: exact per row, flat in memory.
 
 `features.compute_features` must give every row bit for bit the value the
-per-signal oracle code gave before it was batched. That code is kept
-below as the reference. The corpora are large enough that each known
-rounding trap of a batched form shows on some row:
+per-signal oracle code below gives. That code is the oracles as they
+were before batching, with the moments taken by repeated squaring (as
+`scipy.stats` takes them) and one DCT of each signal's mean log-mel
+energies. The corpora are large enough that each known rounding trap of
+a batched form shows on some row:
 
 - an array `m2 ** 1.5` can differ by an ulp from Python's float power
   (skewness);
@@ -22,6 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.stats
 
 from finnets import features as fe
 from finnets import signals as sg
@@ -41,18 +44,20 @@ def ref_entropy(x):
     return float(-(p * np.log2(p)).sum())
 
 
-def ref_moments(x, orders):
-    centered = x - x.mean()
-    return [float(np.mean(centered ** k)) for k in orders]
+def ref_moments(x):
+    """m2, m3 and m4 by repeated squaring, in `scipy.stats.moment`'s order."""
+    c = x - x.mean()
+    c2 = c * c
+    return float(np.mean(c2)), float(np.mean(c2 * c)), float(np.mean(c2 * c2))
 
 
 def ref_kurtosis(x):
-    m2, m4 = ref_moments(x, (2, 4))
+    m2, _, m4 = ref_moments(x)
     return m4 / (m2 * m2) - 3.0
 
 
 def ref_skewness(x):
-    m2, m3 = ref_moments(x, (2, 3))
+    m2, m3, _ = ref_moments(x)
     return m3 / m2 ** 1.5
 
 
@@ -74,7 +79,8 @@ def ref_f0(x, fs):
     return 0.0
 
 
-def ref_mfcc(x, fs):
+def ref_log_mel(x, fs):
+    """(frames, filters) log-mel energies of one signal."""
     frame_len = max(int(round(fe.MFCC_FRAME_SECONDS * fs)), 2)
     hop = max(int(round(fe.MFCC_HOP_SECONDS * fs)), 1)
     n_frames = 1 + (x.size - frame_len) // hop
@@ -82,9 +88,18 @@ def ref_mfcc(x, fs):
     frames = x[idx] * np.hamming(frame_len)
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2 / frame_len
     energies = power @ fe.mel_filterbank(fe.MFCC_N_FILTERS, frame_len, fs).T
-    log_e = np.log(np.maximum(energies, fe.MFCC_LOG_FLOOR))
-    coeffs = scipy.fft.dct(log_e, type=2, norm="ortho", axis=1)[:, :fe.DEFAULT_N_MFCC]
-    return coeffs.mean(axis=0)
+    return np.log(np.maximum(energies, fe.MFCC_LOG_FLOOR))
+
+
+def ref_mfcc(x, fs):
+    mean_log_e = ref_log_mel(x, fs).mean(axis=0)
+    return scipy.fft.dct(mean_log_e, type=2, norm="ortho")[:fe.DEFAULT_N_MFCC]
+
+
+def per_frame_mfcc(x, fs):
+    """The mean of the per-frame cepstra: one DCT per frame."""
+    coeffs = scipy.fft.dct(ref_log_mel(x, fs), type=2, norm="ortho", axis=1)
+    return coeffs[:, :fe.DEFAULT_N_MFCC].mean(axis=0)
 
 
 def ref_regularity(x):
@@ -139,14 +154,14 @@ def corpus_batch(length, fs):
     return x
 
 
+GEOMETRIES = [(512, 128.0), (300, 100.0), (1000, 250.0), (2000, 8000.0)]
+GEOMETRY_IDS = ["512@128", "300@100", "1000@250", "2000@8000"]
+
+
 # f0's derived search floor, max(1 Hz, 2 fs / length), is 1 Hz at the first
 # three geometries and 8 Hz at the audio rate
 @pytest.mark.parametrize("feature", fe.FEATURE_NAMES)
-@pytest.mark.parametrize(
-    "length, fs",
-    [(512, 128.0), (300, 100.0), (1000, 250.0), (2000, 8000.0)],
-    ids=["512@128", "300@100", "1000@250", "2000@8000"],
-)
+@pytest.mark.parametrize("length, fs", GEOMETRIES, ids=GEOMETRY_IDS)
 def test_every_row_equals_the_per_signal_oracle(feature, length, fs):
     x = corpus_batch(length, fs)
     got = fe.compute_features(x, fs, feature)
@@ -154,6 +169,27 @@ def test_every_row_equals_the_per_signal_oracle(feature, length, fs):
     for i, row in enumerate(x):
         want = np.asarray(reference(row, fs, feature))
         assert np.array_equal(got[i], want), (i, got[i], want)
+
+
+@pytest.mark.parametrize("length, fs", GEOMETRIES, ids=GEOMETRY_IDS)
+def test_moments_are_scipys(length, fs):
+    x = corpus_batch(length, fs)
+    kurtosis = fe.compute_features(x, fs, "kurtosis")[:, 0]
+    skewness = fe.compute_features(x, fs, "skewness")[:, 0]
+    for i, row in enumerate(x):
+        assert kurtosis[i] == scipy.stats.kurtosis(row, fisher=True, bias=True), i
+        assert skewness[i] == scipy.stats.skew(row, bias=True), i
+
+
+@pytest.mark.parametrize("length, fs", GEOMETRIES, ids=GEOMETRY_IDS)
+def test_mfcc_is_the_mean_of_the_per_frame_cepstra(length, fs):
+    # the DCT is linear: one DCT of the mean log energies equals the mean
+    # of the per-frame DCTs up to rounding
+    x = corpus_batch(length, fs)
+    got = fe.compute_features(x, fs, "mfcc")
+    for i, row in enumerate(x):
+        want = per_frame_mfcc(row, fs)
+        assert np.abs(got[i] - want).max() <= 1e-12 * np.abs(want).max(), i
 
 
 def test_one_row_calls_are_the_batch_rows():

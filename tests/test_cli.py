@@ -288,6 +288,40 @@ def test_oracle_f0_of_a_short_signal(tmp_path, capsys):
     assert index == "0" and float(value) == pytest.approx(10.03, abs=0.01)
 
 
+def test_oracle_signals_csv_names_the_degenerate_row(tmp_path, capsys):
+    spec = signals.GenSpec(seed=88)
+    rows = [signals.generate(spec, i).samples for i in range(4)]
+    rows[1] = rows[1][:300]  # mixed lengths: two oracle calls
+    path = tmp_path / "mixed.csv"
+    write_signals_csv(path, rows)
+    assert main(["oracle", "--feature", "skewness", "--signals-csv", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["0", "1", "2", "3"]
+    for row, line in zip(rows, lines):
+        want = features.compute_feature(features.Signal(row, 128.0), "skewness")
+        assert float(line.split()[1]) == float(want[0])
+    # a constant signal in the third data row, CSV row 4, after two good
+    # rows: nothing is printed, and the error names the file's row
+    rows[2] = np.ones(rows[2].size)
+    write_signals_csv(path, rows)
+    assert main(["oracle", "--feature", "skewness", "--signals-csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: row 4: zero-variance signal has undefined skewness\n"
+    assert captured.out == ""
+    # so does a row too short for the oracle
+    rows[2] = rows[2][:3]
+    write_signals_csv(path, rows)
+    assert main(["oracle", "--feature", "kurtosis", "--signals-csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: row 4: kurtosis needs at least 4 samples\n"
+    assert captured.out == ""
+    # a demo signal has no row
+    assert main(["oracle", "--feature", "kurtosis", "--demo", "constant"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: zero-variance signal has undefined kurtosis\n"
+    assert captured.out == ""
+
+
 def test_oracle_flag_validation(tmp_path, capsys):
     assert main(["oracle", "--feature", "entropy"]) == 2
     assert main([
