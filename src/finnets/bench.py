@@ -4,8 +4,8 @@ Reproduces the experimental protocols at desk scale: synthetic labeled
 tasks built from oracle features, repeated random 85/15 splits,
 leave-subjects-out partitioning, data-fraction sweeps, a random-topology
 baseline search, kNN and linear max-margin comparators, and a seeded
-end-to-end runner whose results depend only on (seed, run coordinates),
-never on worker scheduling.
+end-to-end runner that visits every protocol cell in one serial loop
+and whose results depend only on (seed, run coordinates).
 
 Protocol hygiene is structural: a model's `fit` never receives test
 indices; test items reach a fitted predictor only at final evaluation.
@@ -14,7 +14,6 @@ indices; test items reach a fitted predictor only at final evaluation.
 import csv
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -755,58 +754,69 @@ class RunRecord:
 
 @dataclass
 class EvalReport:
+    """Benchmark runs with their comparison rows; the summary tables are
+    computed from `runs` on every read."""
+
     runs: list
-    aggregates: dict
-    fraction_aggregates: list
     stats: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    @property
+    def aggregates(self) -> dict:
+        return aggregate_runs(self.runs)
+
+    @property
+    def fraction_aggregates(self) -> list:
+        return aggregate_fractions(self.runs)
 
 
 def _fraction_key(fraction: float) -> int:
     return int(round(fraction * 1000))
 
 
+def _groups(runs, key) -> dict:
+    """Runs by `key(run)`, keys in order of first appearance."""
+    groups = {}
+    for r in runs:
+        groups.setdefault(key(r), []).append(r)
+    return groups
+
+
+def _summary(values, name) -> dict:
+    """Mean and sample std (0.0 for one value) of a sequence of numbers."""
+    x = np.array(values)
+    return {
+        f"mean_{name}": float(x.mean()),
+        f"std_{name}": float(x.std(ddof=1)) if x.size > 1 else 0.0,
+    }
+
+
 def aggregate_runs(runs):
     """Per-model means and sample stds of accuracy and training seconds."""
-    tags = []
-    for r in runs:
-        if r.model_tag not in tags:
-            tags.append(r.model_tag)
-    out = {}
-    for tag in tags:
-        acc = np.array([r.accuracy for r in runs if r.model_tag == tag])
-        sec = np.array([r.train_seconds for r in runs if r.model_tag == tag])
-        out[tag] = {
-            "n_runs": int(acc.size),
-            "mean_accuracy": float(acc.mean()),
-            "std_accuracy": float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
-            "mean_train_seconds": float(sec.mean()),
-            "std_train_seconds": float(sec.std(ddof=1)) if sec.size > 1 else 0.0,
+    return {
+        tag: {
+            "n_runs": len(group),
+            **_summary([r.accuracy for r in group], "accuracy"),
+            **_summary([r.train_seconds for r in group], "train_seconds"),
         }
-    return out
+        for tag, group in _groups(runs, lambda r: r.model_tag).items()
+    }
 
 
 def aggregate_fractions(runs):
-    """Per (fraction, model) accuracy summaries, fraction-major."""
-    keys = []
-    for r in runs:
-        key = (r.fraction, r.model_tag)
-        if key not in keys:
-            keys.append(key)
-    keys.sort(key=lambda k: (k[0], [r.model_tag for r in runs].index(k[1])))
-    out = []
-    for fraction, tag in keys:
-        acc = np.array(
-            [r.accuracy for r in runs if r.model_tag == tag and r.fraction == fraction]
-        )
-        out.append({
+    """Per (fraction, model) accuracy summaries, fraction-major, models in
+    order of first appearance."""
+    rank = {tag: i for i, tag in enumerate(_groups(runs, lambda r: r.model_tag))}
+    groups = _groups(runs, lambda r: (r.fraction, r.model_tag))
+    return [
+        {
             "fraction": fraction,
             "model_tag": tag,
-            "n_runs": int(acc.size),
-            "mean_accuracy": float(acc.mean()),
-            "std_accuracy": float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
-        })
-    return out
+            "n_runs": len(groups[fraction, tag]),
+            **_summary([r.accuracy for r in groups[fraction, tag]], "accuracy"),
+        }
+        for fraction, tag in sorted(groups, key=lambda k: (k[0], rank[k[1]]))
+    ]
 
 
 def _enumerate_splits(data: LabeledDataset, plan: SplitPlan):
@@ -831,26 +841,20 @@ def run_benchmark(
     plan: SplitPlan,
     models,
     cfg: TrainConfig,
-    workers: int = 1,
 ) -> EvalReport:
-    """Execute every (split, fraction, model) cell of the protocol.
+    """Fit, time and test every (split, fraction, model) cell of the
+    protocol, one after another in that nesting order.
 
     Each run's randomness derives only from (plan.seed, split index,
-    fraction, model role), so any worker count reproduces identical
-    accuracies and histories; `workers` > 1 only overlaps execution.
-    Timing fields are wall-clock and never reproducible; compare reports
-    with timing zeroed.
+    fraction, model role). Timing fields are wall-clock and never
+    reproducible; compare reports with timing zeroed.
     """
     tags = [m.tag for m in models]
     if len(set(tags)) != len(tags):
         raise ValueError("model tags must be unique")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    splits = _enumerate_splits(data, plan)
     fractions = plan.fractions or (1.0,)
-
-    specs = []
-    for k, (train_idx, val_idx, test_idx) in splits:
+    runs = []
+    for k, (train_idx, val_idx, test_idx) in _enumerate_splits(data, plan):
         for fraction in fractions:
             if fraction < 1.0:
                 sub_train = stratified_subsample(
@@ -863,31 +867,17 @@ def run_benchmark(
                 sub_train = train_idx
             run_seed = derive_seed(plan.seed, "run", k, _fraction_key(fraction))
             for model in models:
-                specs.append((model, k, fraction, sub_train, val_idx, test_idx, run_seed))
-
-    def execute(spec):
-        model, k, fraction, train_idx, val_idx, test_idx, run_seed = spec
-        t0 = time.perf_counter()
-        predictor, history = model.fit(data, train_idx, val_idx, run_seed, cfg)
-        seconds = time.perf_counter() - t0
-        preds = predictor(data, test_idx)
-        accuracy = float(np.mean(preds == data.labels[test_idx]))
-        return model.tag, k, fraction, accuracy, seconds, len(train_idx), history
-
-    if workers == 1:
-        results = [execute(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(execute, specs))
-
-    runs = [
-        RunRecord(i, tag, k, fraction, accuracy, seconds, n_train, history)
-        for i, (tag, k, fraction, accuracy, seconds, n_train, history) in enumerate(results)
-    ]
+                t0 = time.perf_counter()
+                predictor, history = model.fit(data, sub_train, val_idx, run_seed, cfg)
+                seconds = time.perf_counter() - t0
+                preds = predictor(data, test_idx)
+                accuracy = float(np.mean(preds == data.labels[test_idx]))
+                runs.append(RunRecord(
+                    len(runs), model.tag, k, fraction, accuracy, seconds,
+                    len(sub_train), history,
+                ))
     return EvalReport(
         runs=runs,
-        aggregates=aggregate_runs(runs),
-        fraction_aggregates=aggregate_fractions(runs),
         meta={
             "seed": plan.seed,
             "mode": plan.mode,

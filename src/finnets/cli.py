@@ -295,8 +295,6 @@ def _parse_models(args, data: B.LabeledDataset, cfg):
 
 
 def cmd_bench(args) -> int:
-    if args.serial_timing:
-        args.workers = 1
     out_dir = _out_dir(args)
     # a marker left by an earlier failed run would outlive this run's report
     with contextlib.suppress(FileNotFoundError):
@@ -305,16 +303,16 @@ def cmd_bench(args) -> int:
         if args.protocol not in ("repeated-random", "leave-subjects-out"):
             raise CliError("--protocol must be repeated-random or leave-subjects-out")
         fractions = tuple(args.fractions or ())
-        data = _parse_task(args)
-        cfg = _train_config(args)
-        models, search_records = _parse_models(args, data, cfg)
         plan = B.SplitPlan(
             mode=args.protocol.replace("-", "_"),
             repeats=args.repeats,
             fractions=fractions,
             seed=args.seed,
         )
-        report = B.run_benchmark(data, plan, models, cfg, workers=args.workers)
+        data = _parse_task(args)
+        cfg = _train_config(args)
+        models, search_records = _parse_models(args, data, cfg)
+        report = B.run_benchmark(data, plan, models, cfg)
         rp.add_model_comparisons(report)
         rp.emit_report(report, out_dir, zero_timing=args.zero_timing)
         if search_records is not None:
@@ -514,9 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int)
     p.add_argument("--knn-k", dest="knn_k", type=int, default=5)
     p.add_argument("--search-candidates", dest="search_candidates", type=int, default=20)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--serial-timing", dest="serial_timing", action="store_true",
-                   help="force serial execution for trustworthy timing")
+                   help="no effect: every run is serial; kept for old command lines")
     p.add_argument("--zero-timing", dest="zero_timing", action="store_true",
                    help="write 0.0 for all timing fields (byte-comparable reports)")
     add_train_flags(p, max_epochs=40, patience=6)

@@ -10,11 +10,12 @@ byte-level comparisons.
 import csv
 import itertools
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from . import stats as st
-from .bench import EvalReport, _fmt, aggregate_fractions, aggregate_runs
+from .bench import EvalReport, _fmt
 from .engine import _canonical_json
 from .errors import DegenerateGroups
 
@@ -27,23 +28,6 @@ REPORT_JSON = "report.json"
 ALPHA = 0.05  # family-wise significance level of the model comparisons
 
 
-def _zeroed(report: EvalReport) -> EvalReport:
-    import copy
-
-    runs = []
-    for r in report.runs:
-        r2 = copy.copy(r)
-        r2.train_seconds = 0.0
-        runs.append(r2)
-    return EvalReport(
-        runs=runs,
-        aggregates=aggregate_runs(runs),
-        fraction_aggregates=aggregate_fractions(runs),
-        stats=report.stats,
-        meta=report.meta,
-    )
-
-
 def emit_report(report: EvalReport, out_dir, zero_timing: bool = False) -> dict:
     """Write the full report file set into a directory.
 
@@ -53,7 +37,9 @@ def emit_report(report: EvalReport, out_dir, zero_timing: bool = False) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     if zero_timing:
-        report = _zeroed(report)
+        report = replace(
+            report, runs=[replace(r, train_seconds=0.0) for r in report.runs]
+        )
     paths = {}
 
     def target(name):

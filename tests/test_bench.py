@@ -449,7 +449,7 @@ def test_ensemble_model_runs():
     assert report.runs[0].history is not None
 
 
-def run_small_benchmark(workers):
+def run_small_benchmark():
     data = toy_dataset(n_items=60, seed=3)
     models = [
         bench.TransferFinModel("fin", fake_artifact("entropy", 3, 21)),
@@ -459,16 +459,16 @@ def run_small_benchmark(workers):
         bench.KnnModel(k=3),
     ]
     plan = bench.SplitPlan(mode="repeated_random", repeats=2, seed=14)
-    return bench.run_benchmark(data, plan, models, FAST_CFG, workers=workers)
+    return bench.run_benchmark(data, plan, models, FAST_CFG)
 
 
 def test_run_benchmark_models_learn_and_workers_match():
-    serial = run_small_benchmark(workers=1)
-    threaded = run_small_benchmark(workers=3)
+    first = run_small_benchmark()
+    second = run_small_benchmark()
     for tag in ("fin", "base", "knn"):
-        assert serial.aggregates[tag]["mean_accuracy"] >= 0.8
-    assert len(serial.runs) == 6
-    for a, b in zip(serial.runs, threaded.runs):
+        assert first.aggregates[tag]["mean_accuracy"] >= 0.8
+    assert len(first.runs) == 6
+    for a, b in zip(first.runs, second.runs):
         assert a.model_tag == b.model_tag
         assert a.split_index == b.split_index
         assert a.fraction == b.fraction
@@ -525,8 +525,6 @@ def test_run_benchmark_validation():
     dup = [bench.KnnModel(tag="m", k=1), bench.LinearMarginModel(tag="m")]
     with pytest.raises(ValueError):
         bench.run_benchmark(data, plan, dup, FAST_CFG)
-    with pytest.raises(ValueError):
-        bench.run_benchmark(data, plan, [bench.KnnModel()], FAST_CFG, workers=0)
 
 
 # ---------------------------------------------------------------------------

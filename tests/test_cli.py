@@ -391,11 +391,11 @@ def test_bench_zero_timing_reports_are_identical(artifact_path, tmp_path, capsys
     names = ("runs.csv", "aggregates.csv", "loss_curves.csv",
              "fraction_accuracy.csv", "report.json")
     outs = []
-    for sub, workers in (("a", "1"), ("b", "3")):
+    for sub in ("a", "b"):
         out = tmp_path / sub
         code = main(BENCH_BASE + [
             "--repeats", "2", "--models", f"fin:{artifact_path},knn",
-            "--max-epochs", "8", "--workers", workers, "--zero-timing",
+            "--max-epochs", "8", "--zero-timing",
             "--out-dir", str(out),
         ])
         assert code == 0
@@ -451,6 +451,48 @@ def test_bench_rejects_repeated_fractions(tmp_path, capsys):
     assert "strictly ascending" in err
     assert (tmp_path / "FAILED").exists()
     assert not (tmp_path / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", "0"], "repeats must be positive"),
+    (["--fractions", "0.5,0.5"], "strictly ascending"),
+])
+def test_bench_checks_split_flags_before_the_search(tmp_path, capsys, monkeypatch,
+                                                    flags, message):
+    def no_search(*args, **kwargs):
+        raise AssertionError("baseline search ran before the split flags were checked")
+
+    monkeypatch.setattr(bench, "baseline_search", no_search)
+    code = main(BENCH_BASE + flags + [
+        "--models", "baseline-search", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_serial_timing_changes_only_its_config_key(tmp_path, capsys):
+    trees = []
+    for name, extra in (("plain", []), ("serial", ["--serial-timing"])):
+        out = tmp_path / name
+        assert main(BENCH_BASE + extra + [
+            "--repeats", "2", "--models", "knn,linear-margin",
+            "--fractions", "0.5,1.0", "--zero-timing", "--out-dir", str(out),
+        ]) == 0
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    capsys.readouterr()
+    configs = [json.loads(tree.pop("config.json")) for tree in trees]
+    assert trees[0] == trees[1]
+    assert [c.pop("serial_timing") for c in configs] == [False, True]
+    assert configs[0] == configs[1]
+
+
+def test_bench_has_no_workers_flag_or_config_key(tmp_path, capsys):
+    base = BENCH_BASE + ["--models", "knn", "--out-dir", str(tmp_path)]
+    assert main(base + ["--workers", "2"]) == EXIT_CONFIG
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"workers": 1}))
+    assert main(base + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown config keys: ['workers']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -981,7 +1023,7 @@ def test_bench_tree_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
         proc = run_console_script(entry_point, BENCH_BASE + [
             "--repeats", "2", "--models", "baseline-search,knn,linear-margin",
             "--search-candidates", "2", "--max-epochs", "4", "--patience", "4",
-            "--workers", "1", "--zero-timing", "--out-dir", str(out),
+            "--zero-timing", "--out-dir", str(out),
         ], tmp_path)
         assert proc.returncode == 0, proc.stderr
         trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

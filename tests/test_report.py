@@ -28,12 +28,7 @@ def small_report():
         run_record(2, "a", 1, 1.0, 0.9, 1.0, FakeHistory([0.8], [0.7])),
         run_record(3, "b", 1, 1.0, 0.7, 2.0),
     ]
-    return bench.EvalReport(
-        runs=runs,
-        aggregates=bench.aggregate_runs(runs),
-        fraction_aggregates=bench.aggregate_fractions(runs),
-        meta={"seed": 1},
-    )
+    return bench.EvalReport(runs=runs, meta={"seed": 1})
 
 
 def read_rows(path):
@@ -94,7 +89,7 @@ def test_add_model_comparisons():
     for i in range(20):
         runs.append(run_record(len(runs), "hi", i, 1.0, 0.9 + rng.normal() * 0.01, 0.0))
         runs.append(run_record(len(runs), "lo", i, 1.0, 0.6 + rng.normal() * 0.01, 0.0))
-    rep = bench.EvalReport(runs=runs, aggregates={}, fraction_aggregates=[])
+    rep = bench.EvalReport(runs=runs)
     rows = report.add_model_comparisons(rep)
     assert rep.stats == rows
     welch = rows[0]
@@ -108,7 +103,7 @@ def test_add_model_comparisons_degenerate_rows():
     for i in range(4):
         runs.append(run_record(len(runs), "a", i, 1.0, 1.0, 0.0))
         runs.append(run_record(len(runs), "b", i, 1.0, 1.0, 0.0))
-    rep = bench.EvalReport(runs=runs, aggregates={}, fraction_aggregates=[])
+    rep = bench.EvalReport(runs=runs)
     rows = report.add_model_comparisons(rep)
     assert len(rows) == 2
     for row in rows:
@@ -128,7 +123,7 @@ def three_model_report(runs_of_last=2):
         for tag in ("z", "a", "m")[: 3 if k < runs_of_last else 2]:
             acc = means[tag] + rng.normal() * 0.05
             runs.append(run_record(len(runs), tag, k, 1.0, acc, 0.0))
-    return bench.EvalReport(runs=runs, aggregates={}, fraction_aggregates=[])
+    return bench.EvalReport(runs=runs)
 
 
 def test_comparisons_cover_every_pair_in_run_order():
@@ -157,6 +152,5 @@ def test_no_comparisons_when_a_model_has_one_run():
     rep = three_model_report(runs_of_last=1)
     assert report.add_model_comparisons(rep) == []
     assert rep.stats == []
-    single = bench.EvalReport(runs=three_model_report().runs[:1] * 3,
-                              aggregates={}, fraction_aggregates=[])
+    single = bench.EvalReport(runs=three_model_report().runs[:1] * 3)
     assert report.add_model_comparisons(single) == []  # one model
