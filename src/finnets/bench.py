@@ -7,6 +7,9 @@ baseline search, kNN and linear max-margin comparators, and a seeded
 end-to-end runner that visits every protocol cell in one serial loop
 and whose results depend only on (seed, run coordinates).
 
+Both synthetic tasks label by one noisy median threshold; the net models
+and the search candidates share one fine-tune and one argmax classifier.
+
 Protocol hygiene is structural: a model's `fit` never receives test
 indices; test items reach a fitted predictor only at final evaluation.
 """
@@ -119,13 +122,21 @@ def _materialize_items(gen, n_items, n_channels):
     return inputs, samples
 
 
-def _threshold_labels(scores, rho, seed):
+def _threshold_task(inputs, scores, rho, seed, n_subjects, meta) -> LabeledDataset:
+    """Binary task labelling each item by its score above the median of
+    `scores`, each label flipped with probability `rho`; item i belongs to
+    subject i % n_subjects (no subjects when None). `meta` gains the noise
+    and the seed."""
     thresh = float(np.median(scores))
     labels = (scores > thresh).astype(np.int64)
     if rho > 0:
         flip = rng_for(seed, "label-noise").random(scores.size) < rho
         labels = np.where(flip, 1 - labels, labels)
-    return labels, thresh
+    subjects = None if n_subjects is None else np.arange(scores.size) % n_subjects
+    return LabeledDataset(
+        inputs, labels, 2, subject_ids=subjects, oracle_scores=scores,
+        oracle_threshold=thresh, meta={**meta, "rho": rho, "seed": seed},
+    )
 
 
 def _check_task_shape(n_items, n_channels, n_subjects, rho):
@@ -158,17 +169,8 @@ def make_feature_threshold_task(
         gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", feature))
     inputs, samples = _materialize_items(gen, n_items, n_channels)
     scores = _channel_mean_feature(samples, gen, n_channels, feature)
-    labels, thresh = _threshold_labels(scores, rho, seed)
-    subjects = None if n_subjects is None else np.arange(n_items) % n_subjects
-    return LabeledDataset(
-        inputs,
-        labels,
-        2,
-        subject_ids=subjects,
-        oracle_scores=scores,
-        oracle_threshold=thresh,
-        meta={"task": f"feature_threshold:{feature}", "rho": rho, "seed": seed},
-    )
+    return _threshold_task(inputs, scores, rho, seed, n_subjects,
+                           {"task": f"feature_threshold:{feature}"})
 
 
 def make_multi_feature_task(
@@ -205,31 +207,14 @@ def make_multi_feature_task(
         w = float(rng.uniform(0.5, 1.0) * (1.0 if rng.random() < 0.5 else -1.0))
         weights[name] = w
         combined += w * (raw - raw.mean()) / std
-    labels, thresh = _threshold_labels(combined, rho, seed)
-    subjects = None if n_subjects is None else np.arange(n_items) % n_subjects
-    return LabeledDataset(
-        inputs,
-        labels,
-        2,
-        subject_ids=subjects,
-        oracle_scores=combined,
-        oracle_threshold=thresh,
-        meta={
-            "task": "multi_feature:" + ",".join(features),
-            "rho": rho,
-            "seed": seed,
-            "weights": weights,
-        },
-    )
+    return _threshold_task(inputs, combined, rho, seed, n_subjects, {
+        "task": "multi_feature:" + ",".join(features), "weights": weights,
+    })
 
 
 # ---------------------------------------------------------------------------
 # Dataset CSV interchange
 # ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
 
 def export_dataset_csv(data: LabeledDataset, path) -> None:
     """One row per (item, channel); channels of an item are adjacent.
@@ -533,42 +518,56 @@ def _single_channel_inputs(data: LabeledDataset):
     return data.inputs[:, 0, :]
 
 
-def _fine_tune(net, x, labels, train_idx, val_idx, run_seed, cfg):
-    """Fine-tune on the training rows of `x`, stopping on the validation rows."""
-    tcfg = replace(cfg, seed=derive_seed(run_seed, "train"))
+def _fine_tune(net, x, labels, train_idx, val_idx, train_seed, cfg):
+    """Fine-tune on the training rows of `x`, stopping on the validation
+    rows, with `cfg` reseeded to `train_seed`."""
     return en.fine_tune(
-        net, (x[train_idx], labels[train_idx]), (x[val_idx], labels[val_idx]), tcfg
+        net, (x[train_idx], labels[train_idx]), (x[val_idx], labels[val_idx]),
+        replace(cfg, seed=train_seed),
     )
 
 
-def _dense_predictor(net):
-    def predict(data, idx):
-        probs = nets.forward(net, _single_channel_inputs(data)[idx])
-        return np.argmax(probs, axis=1).astype(np.int64)
+def _classify(net, x):
+    """Labels of a fine-tuned dense or ensemble classifier: argmax of its
+    class probabilities over rows of `x`."""
+    probs = net.forward(x) if isinstance(net, en.EnsembleNet) else nets.forward(net, x)
+    return np.argmax(probs, axis=1).astype(np.int64)
 
-    return predict
+
+class _FineTunedModel:
+    """A classifier from `_build(data, run_seed)`, fine-tuned on the rows
+    `_inputs(data)` (read first) under derive_seed(run_seed, "train")."""
+
+    _inputs = staticmethod(_single_channel_inputs)
+
+    def fit(self, data, train_idx, val_idx, run_seed, cfg):
+        x = self._inputs(data)
+        trained, history = _fine_tune(
+            self._build(data, run_seed), x, data.labels, train_idx, val_idx,
+            derive_seed(run_seed, "train"), cfg,
+        )
+
+        def predict(d, idx):
+            return _classify(trained, self._inputs(d)[idx])
+
+        return predict, history
 
 
-class TransferFinModel:
-    """Pretrained feature regressor with a fresh softmax head, fine-tuned."""
+class TransferFinModel(_FineTunedModel):
+    """Pretrained feature regressor with a fresh softmax head, fine-tuned;
+    the head is seeded derive_seed(run_seed, "fin-head")."""
 
     def __init__(self, tag: str, artifact: en.FinArtifact):
         self.tag = tag
         self.artifact = artifact
 
-    def fit(self, data, train_idx, val_idx, run_seed, cfg):
-        x = _single_channel_inputs(data)
-        head = en.attach_head(
-            self.artifact, data.n_classes, derive_seed(run_seed, "fin-head")
-        )
-        trained, history = _fine_tune(
-            head, x, data.labels, train_idx, val_idx, run_seed, cfg
-        )
-        return _dense_predictor(trained), history
+    def _build(self, data, run_seed):
+        return en.attach_head(self.artifact, data.n_classes, derive_seed(run_seed, "fin-head"))
 
 
-class RandomDenseModel:
-    """Same training path as the transfer model, from random initialization."""
+class RandomDenseModel(_FineTunedModel):
+    """Same training path as the transfer model, from random initialization
+    seeded derive_seed(run_seed, "baseline-init")."""
 
     def __init__(self, tag: str, topology: Topology):
         if topology.activations[-1] != "softmax":
@@ -576,21 +575,17 @@ class RandomDenseModel:
         self.tag = tag
         self.topology = topology
 
-    def fit(self, data, train_idx, val_idx, run_seed, cfg):
-        x = _single_channel_inputs(data)
+    def _build(self, data, run_seed):
         if self.topology.input_dim != data.tf_dim:
             raise ShapeError("topology input dim must match tf_dim")
         if self.topology.output_dim != data.n_classes:
             raise ShapeError("topology output dim must match n_classes")
-        net = nets.init_random(self.topology, derive_seed(run_seed, "baseline-init"))
-        trained, history = _fine_tune(
-            net, x, data.labels, train_idx, val_idx, run_seed, cfg
-        )
-        return _dense_predictor(trained), history
+        return nets.init_random(self.topology, derive_seed(run_seed, "baseline-init"))
 
 
-class EnsembleFinModel:
-    """One or more feature branches applied per channel, jointly fine-tuned."""
+class EnsembleFinModel(_FineTunedModel):
+    """One or more feature branches applied per channel, jointly fine-tuned;
+    the head is seeded derive_seed(run_seed, "ensemble-head")."""
 
     def __init__(self, tag: str, artifacts):
         if not artifacts:
@@ -598,21 +593,15 @@ class EnsembleFinModel:
         self.tag = tag
         self.artifacts = list(artifacts)
 
-    def fit(self, data, train_idx, val_idx, run_seed, cfg):
-        ensemble = en.build_ensemble(
-            self.artifacts,
-            data.n_channels,
-            data.n_classes,
+    @staticmethod
+    def _inputs(data):
+        return data.inputs
+
+    def _build(self, data, run_seed):
+        return en.build_ensemble(
+            self.artifacts, data.n_channels, data.n_classes,
             derive_seed(run_seed, "ensemble-head"),
         )
-        trained, history = _fine_tune(
-            ensemble, data.inputs, data.labels, train_idx, val_idx, run_seed, cfg
-        )
-
-        def predict(d, idx):
-            return np.argmax(trained.forward(d.inputs[idx]), axis=1).astype(np.int64)
-
-        return predict, history
 
 
 class KnnModel:
@@ -701,19 +690,15 @@ def baseline_search(
         accs = []
         for j in range(SEARCH_SPLITS):
             train_idx, val_idx, _ = split_repeated(data, plan, j)
-            tcfg = replace(cfg, seed=derive_seed(seed, "search-train", ci, j))
             t0 = time.perf_counter()
             diverged = False
             try:
                 net = nets.init_random(topo, derive_seed(seed, "search-init", ci, j))
-                trained, _ = en.fine_tune(
-                    net,
-                    (x[train_idx], data.labels[train_idx]),
-                    (x[val_idx], data.labels[val_idx]),
-                    tcfg,
+                trained, _ = _fine_tune(
+                    net, x, data.labels, train_idx, val_idx,
+                    derive_seed(seed, "search-train", ci, j), cfg,
                 )
-                preds = np.argmax(nets.forward(trained, x[val_idx]), axis=1)
-                acc = float(np.mean(preds == data.labels[val_idx]))
+                acc = float(np.mean(_classify(trained, x[val_idx]) == data.labels[val_idx]))
             except DivergedError:
                 diverged = True
                 acc = 0.0
@@ -850,6 +835,8 @@ def run_benchmark(
     reproducible; compare reports with timing zeroed.
     """
     tags = [m.tag for m in models]
+    if not tags:
+        raise ValueError("need at least one model")
     if len(set(tags)) != len(tags):
         raise ValueError("model tags must be unique")
     fractions = plan.fractions or (1.0,)

@@ -26,7 +26,6 @@ from . import features as fe
 from . import nets
 from . import report as rp
 from . import signals as sg
-from .bench import _fmt
 from .engine import _canonical_json, _read_json
 from .errors import (
     CorruptArtifact,
@@ -36,6 +35,7 @@ from .errors import (
     SplitError,
     UnsupportedVersion,
 )
+from .report import _fmt
 from .rng import derive_seed
 
 EXIT_OK = 0
@@ -179,15 +179,11 @@ def cmd_pretrain(args) -> int:
         sg.generate(gen, args.signals + i) for i in range(args.recon_signals)
     )
     rep = en.reconstruction_report(artifact, recon_sigs)
-    with open(os.path.join(out_dir, "recon_hist.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        for j in range(len(rep.histogram_counts)):
-            w.writerow([
-                _fmt(rep.histogram_edges[j]), _fmt(rep.histogram_edges[j + 1]),
-                int(rep.histogram_counts[j]),
-            ])
+    edges = rep.histogram_edges
+    rp.write_csv(os.path.join(out_dir, "recon_hist.csv"), ["bin_lo", "bin_hi", "count"], (
+        [_fmt(lo), _fmt(hi), int(count)]
+        for lo, hi, count in zip(edges[:-1], edges[1:], rep.histogram_counts)
+    ))
     _echo_config(args, out_dir)
     print(f"artifact {artifact_path}")
     print(f"mean_abs_error {_fmt(rep.mean_abs_error)}")
@@ -259,39 +255,38 @@ def _parse_task(args) -> B.LabeledDataset:
     )
 
 
-def _parse_models(args, data: B.LabeledDataset, cfg):
-    spec = args.models
-    if not spec:
-        raise CliError("--models is required")
-    models = []
-    search_records = None
-    entries = []
+def _parse_models(args) -> list:
+    """The `--models` entries, each checked and built before any signal is
+    generated; "baseline-search" stays a tag until the task exists."""
     # fin-ensemble takes a +-separated path list, so split on commas only
-    for chunk in spec.split(","):
-        if chunk:
-            entries.append(chunk)
+    entries = [chunk for chunk in (args.models or "").split(",") if chunk]
+    if not entries:
+        raise CliError("--models must name at least one model")
+    if len(set(entries)) != len(entries):
+        raise CliError("model tags must be unique")
+    models = []
     for entry in entries:
-        if entry.startswith("fin:"):
-            path = entry.split(":", 1)[1]
-            artifact = en.load_fin(path)
-            models.append(B.TransferFinModel(entry, artifact))
-        elif entry.startswith("fin-ensemble:"):
-            paths = entry.split(":", 1)[1].split("+")
-            arts = [en.load_fin(p) for p in paths]
-            models.append(B.EnsembleFinModel(entry, arts))
+        if entry.startswith(("fin:", "fin-ensemble:")):
+            kind, _, rest = entry.partition(":")
+            paths = rest.split("+") if kind == "fin-ensemble" else [rest]
+            if "" in paths:
+                raise CliError(f"model tag {entry!r} names an empty artifact path")
+            artifacts = [en.load_fin(p) for p in paths]
+            models.append(B.EnsembleFinModel(entry, artifacts) if kind == "fin-ensemble"
+                          else B.TransferFinModel(entry, artifacts[0]))
         elif entry == "baseline-search":
-            winner, search_records = B.baseline_search(
-                data, cfg, derive_seed(args.seed, "search"),
-                n_candidates=args.search_candidates,
-            )
-            models.append(B.RandomDenseModel(entry, winner))
+            if args.search_candidates < 1:
+                raise CliError("--search-candidates must be at least 1")
+            models.append(entry)
         elif entry == "knn":
+            if args.knn_k < 1:
+                raise CliError("--knn-k must be at least 1")
             models.append(B.KnnModel("knn", k=args.knn_k))
         elif entry == "linear-margin":
             models.append(B.LinearMarginModel("linear-margin"))
         else:
             raise CliError(f"unknown model tag {entry!r}")
-    return models, search_records
+    return models
 
 
 def cmd_bench(args) -> int:
@@ -309,9 +304,16 @@ def cmd_bench(args) -> int:
             fractions=fractions,
             seed=args.seed,
         )
-        data = _parse_task(args)
         cfg = _train_config(args)
-        models, search_records = _parse_models(args, data, cfg)
+        models = _parse_models(args)
+        data = _parse_task(args)
+        search_records = None
+        if "baseline-search" in models:
+            winner, search_records = B.baseline_search(
+                data, cfg, derive_seed(args.seed, "search"),
+                n_candidates=args.search_candidates,
+            )
+            models[models.index("baseline-search")] = B.RandomDenseModel("baseline-search", winner)
         report = B.run_benchmark(data, plan, models, cfg)
         rp.add_model_comparisons(report)
         rp.emit_report(report, out_dir, zero_timing=args.zero_timing)

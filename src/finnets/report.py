@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import stats as st
-from .bench import EvalReport, _fmt
+from .bench import EvalReport
 from .engine import _canonical_json
 from .errors import DegenerateGroups
 
@@ -26,6 +26,20 @@ FRACTION_CSV = "fraction_accuracy.csv"
 SEARCH_CSV = "search_runs.csv"
 REPORT_JSON = "report.json"
 ALPHA = 0.05  # family-wise significance level of the model comparisons
+
+
+def _fmt(x) -> str:
+    """A number as it is written to every report and printed: `%.17g`."""
+    return "%.17g" % float(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one plot-ready table: the header, then each row, every line
+    ending in "\n"."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def emit_report(report: EvalReport, out_dir, zero_timing: bool = False) -> dict:
@@ -46,55 +60,30 @@ def emit_report(report: EvalReport, out_dir, zero_timing: bool = False) -> dict:
         paths[name] = os.path.join(out_dir, name)
         return paths[name]
 
-    with open(target(RUNS_CSV), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([
-            "run_index", "model_tag", "split_index", "fraction",
-            "accuracy", "train_seconds", "n_train", "n_epochs", "best_epoch",
-        ])
-        for r in report.runs:
-            n_epochs = r.history.stopped_epoch if r.history else 0
-            best = r.history.best_epoch if r.history else 0
-            w.writerow([
-                r.run_index, r.model_tag, r.split_index, _fmt(r.fraction),
-                _fmt(r.accuracy), _fmt(r.train_seconds), r.n_train,
-                n_epochs, best,
-            ])
-
-    with open(target(AGGREGATES_CSV), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([
-            "model_tag", "n_runs", "mean_accuracy", "std_accuracy",
-            "mean_train_seconds", "std_train_seconds",
-        ])
-        for tag, agg in report.aggregates.items():
-            w.writerow([
-                tag, agg["n_runs"], _fmt(agg["mean_accuracy"]),
-                _fmt(agg["std_accuracy"]), _fmt(agg["mean_train_seconds"]),
-                _fmt(agg["std_train_seconds"]),
-            ])
-
+    write_csv(target(RUNS_CSV), [
+        "run_index", "model_tag", "split_index", "fraction", "accuracy",
+        "train_seconds", "n_train", "n_epochs", "best_epoch",
+    ], ([r.run_index, r.model_tag, r.split_index, _fmt(r.fraction), _fmt(r.accuracy),
+         _fmt(r.train_seconds), r.n_train, r.history.stopped_epoch if r.history else 0,
+         r.history.best_epoch if r.history else 0] for r in report.runs))
+    write_csv(target(AGGREGATES_CSV), [
+        "model_tag", "n_runs", "mean_accuracy", "std_accuracy",
+        "mean_train_seconds", "std_train_seconds",
+    ], ([tag, agg["n_runs"], _fmt(agg["mean_accuracy"]), _fmt(agg["std_accuracy"]),
+         _fmt(agg["mean_train_seconds"]), _fmt(agg["std_train_seconds"])]
+        for tag, agg in report.aggregates.items()))
     # one curve per run; the split column carries the run index so rows
     # stay unique when several fractions share a split
-    with open(target(LOSS_CURVES_CSV), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epoch", "model_tag", "split", "train_loss", "val_loss"])
-        for r in report.runs:
-            if r.history is None:
-                continue
-            for e, (tl, vl) in enumerate(
-                zip(r.history.train_losses, r.history.val_losses), start=1
-            ):
-                w.writerow([e, r.model_tag, r.run_index, _fmt(tl), _fmt(vl)])
-
-    with open(target(FRACTION_CSV), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["fraction", "model_tag", "n_runs", "mean_accuracy", "std_accuracy"])
-        for row in report.fraction_aggregates:
-            w.writerow([
-                _fmt(row["fraction"]), row["model_tag"], row["n_runs"],
-                _fmt(row["mean_accuracy"]), _fmt(row["std_accuracy"]),
-            ])
+    write_csv(target(LOSS_CURVES_CSV), ["epoch", "model_tag", "split", "train_loss", "val_loss"], (
+        [e, r.model_tag, r.run_index, _fmt(tl), _fmt(vl)]
+        for r in report.runs if r.history is not None
+        for e, (tl, vl) in enumerate(zip(r.history.train_losses, r.history.val_losses), start=1)
+    ))
+    write_csv(target(FRACTION_CSV), [
+        "fraction", "model_tag", "n_runs", "mean_accuracy", "std_accuracy",
+    ], ([_fmt(row["fraction"]), row["model_tag"], row["n_runs"],
+         _fmt(row["mean_accuracy"]), _fmt(row["std_accuracy"])]
+        for row in report.fraction_aggregates))
 
     doc = {
         "meta": report.meta,
@@ -126,18 +115,12 @@ def emit_search_records(records, out_dir) -> str:
     """Write baseline-search candidate results as their own CSV."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, SEARCH_CSV)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([
-            "candidate", "split_index", "layer_sizes", "activation",
-            "params", "val_accuracy", "train_seconds", "diverged",
-        ])
-        for r in records:
-            w.writerow([
-                r["candidate"], r["split_index"], r["layer_sizes"],
-                r["activation"], r["params"], _fmt(r["val_accuracy"]),
-                _fmt(r["train_seconds"]), int(r["diverged"]),
-            ])
+    write_csv(path, [
+        "candidate", "split_index", "layer_sizes", "activation",
+        "params", "val_accuracy", "train_seconds", "diverged",
+    ], ([r["candidate"], r["split_index"], r["layer_sizes"], r["activation"], r["params"],
+         _fmt(r["val_accuracy"]), _fmt(r["train_seconds"]), int(r["diverged"])]
+        for r in records))
     return path
 
 

@@ -505,5 +505,5 @@ def test_criterion_10_relative_speed(transfer_report):
         10,
         ok,
         f"median per-epoch seconds: fin={fin_med:.4f} baseline={base_med:.4f} "
-        f"ratio={ratio:.2f} (<=2.0, serial workers=1)",
+        f"ratio={ratio:.2f} (<=2.0, serial)",
     )

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -449,6 +450,86 @@ def test_ensemble_model_runs():
     assert report.runs[0].history is not None
 
 
+def noisy_dataset(n_items=40, n_channels=1, seed=4):
+    """Weakly separable data, so fits from different seeds disagree."""
+    rng = rng_for(seed, "noisy")
+    labels = np.arange(n_items) % 2
+    inputs = rng.normal(size=(n_items, n_channels, 8))
+    inputs[:, :, 0] += np.where(labels == 1, 0.3, -0.3)[:, None]
+    return bench.LabeledDataset(inputs, labels, 2)
+
+
+def explicit_fit(net, x, data, train_idx, val_idx, train_seed, cfg):
+    """`engine.fine_tune` of `net` on rows of `x` at `train_seed`."""
+    return engine.fine_tune(
+        net, (x[train_idx], data.labels[train_idx]), (x[val_idx], data.labels[val_idx]),
+        replace(cfg, seed=train_seed),
+    )
+
+
+def same_history(a, b):
+    return (a.train_losses == b.train_losses and a.val_losses == b.val_losses
+            and (a.best_epoch, a.stopped_epoch) == (b.best_epoch, b.stopped_epoch))
+
+
+def documented_build(kind, run_seed):
+    """(model, data, its inputs, the untrained net the model documents, and
+    a class-probability function) for each fine-tuned model kind."""
+    if kind == "ensemble":
+        data = noisy_dataset(n_channels=2)
+        arts = [fake_artifact("entropy", 3, 1), fake_artifact("kurtosis", 2, 2)]
+        net = engine.build_ensemble(arts, 2, 2, derive_seed(run_seed, "ensemble-head"))
+        return (bench.EnsembleFinModel("m", arts), data, data.inputs, net,
+                lambda trained, rows: trained.forward(rows))
+    data = noisy_dataset()
+    if kind == "fin":
+        art = fake_artifact("entropy", 3, 21)
+        model = bench.TransferFinModel("m", art)
+        net = engine.attach_head(art, 2, derive_seed(run_seed, "fin-head"))
+    else:
+        topo = nets.Topology((8, 6, 2), ("tanh", "softmax"))
+        model = bench.RandomDenseModel("m", topo)
+        net = nets.init_random(topo, derive_seed(run_seed, "baseline-init"))
+    return model, data, data.inputs[:, 0, :], net, nets.forward
+
+
+@pytest.mark.parametrize("kind", ["fin", "random", "ensemble"])
+def test_net_models_fit_their_documented_build(kind):
+    run_seed = derive_seed(3, "run", 0, 1000)
+    model, data, x, net, probs = documented_build(kind, run_seed)
+    train_idx, val_idx, test_idx = np.arange(24), np.arange(24, 32), np.arange(32, 40)
+    predict, history = model.fit(data, train_idx, val_idx, run_seed, FAST_CFG)
+    trained, expected = explicit_fit(
+        net, x, data, train_idx, val_idx, derive_seed(run_seed, "train"), FAST_CFG
+    )
+    assert same_history(history, expected)
+    assert np.array_equal(
+        predict(data, test_idx), np.argmax(probs(trained, x[test_idx]), axis=1)
+    )
+    # negative control: the config's own seed trains a different net
+    _, unseeded = explicit_fit(net, x, data, train_idx, val_idx, FAST_CFG.seed, FAST_CFG)
+    assert not same_history(history, unseeded)
+
+
+def test_baseline_search_records_are_their_documented_fine_tunes():
+    data = noisy_dataset(n_items=48, seed=6)
+    topo = nets.Topology((8, 6, 2), ("tanh", "softmax"))
+    _, records = bench.baseline_search(data, FAST_CFG, seed=77, candidates=[topo])
+    plan = bench.SplitPlan(repeats=bench.SEARCH_SPLITS, seed=derive_seed(77, "search-splits"))
+    x = data.inputs[:, 0, :]
+    accuracies = []
+    for j, record in enumerate(records):
+        train_idx, val_idx, _ = bench.split_repeated(data, plan, j)
+        net = nets.init_random(topo, derive_seed(77, "search-init", 0, j))
+        trained, _ = explicit_fit(
+            net, x, data, train_idx, val_idx, derive_seed(77, "search-train", 0, j), FAST_CFG
+        )
+        preds = np.argmax(nets.forward(trained, x[val_idx]), axis=1)
+        assert record["val_accuracy"] == float(np.mean(preds == data.labels[val_idx]))
+        accuracies.append(record["val_accuracy"])
+    assert len(set(accuracies)) > 1  # the splits' fits really differ
+
+
 def run_small_benchmark():
     data = toy_dataset(n_items=60, seed=3)
     models = [
@@ -523,8 +604,10 @@ def test_run_benchmark_validation():
     data = toy_dataset(n_items=30)
     plan = bench.SplitPlan(mode="repeated_random", repeats=1, seed=0)
     dup = [bench.KnnModel(tag="m", k=1), bench.LinearMarginModel(tag="m")]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unique"):
         bench.run_benchmark(data, plan, dup, FAST_CFG)
+    with pytest.raises(ValueError, match="at least one model"):
+        bench.run_benchmark(data, plan, [], FAST_CFG)
 
 
 # ---------------------------------------------------------------------------

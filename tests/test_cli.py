@@ -592,6 +592,33 @@ def test_bench_csv_task(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("models, extra, code, message", [
+    ("knn,forest", [], 2, "unknown model tag 'forest'"),
+    (",", [], 2, "--models must name at least one model"),
+    ("knn,linear-margin,knn", [], 2, "model tags must be unique"),
+    ("knn,fin:", [], 2, "empty artifact path"),
+    ("fin-ensemble:a.fin+", [], 2, "empty artifact path"),
+    ("knn", ["--knn-k", "0"], 2, "--knn-k must be at least 1"),
+    ("baseline-search", ["--search-candidates", "0"], 2,
+     "--search-candidates must be at least 1"),
+    ("knn,fin:/nonexistent.fin", [], 4, "/nonexistent.fin"),
+], ids=["unknown", "no-model", "duplicate", "empty-fin-path", "empty-ensemble-path",
+        "knn-k", "search-candidates", "missing-artifact"])
+def test_bench_models_are_checked_before_the_task(
+    monkeypatch, tmp_path, capsys, models, extra, code, message
+):
+    def build(*args, **kwargs):
+        raise AssertionError("the task was built before --models was checked")
+
+    for name in ("make_feature_threshold_task", "make_multi_feature_task",
+                 "ingest_dataset_csv"):
+        monkeypatch.setattr(bench, name, build)
+    argv = BENCH_BASE + ["--models", models, *extra, "--out-dir", str(tmp_path)]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "FAILED").exists()
+
+
 def test_bench_flag_validation(tmp_path, capsys):
     out = ["--out-dir", str(tmp_path)]
     assert main(["bench", "--models", "knn"] + out) == 2  # no task
