@@ -52,8 +52,6 @@ from .nets import (
 )
 from .signals import (
     GenSpec,
-    TFMap,
-    flatten_tf,
     gen_spec_digest,
     generate,
     scalograms,

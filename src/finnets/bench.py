@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import engine as en
-from . import features as fe
 from . import nets
 from . import signals as sg
 from .errors import (
@@ -106,22 +105,6 @@ class LabeledDataset:
         return self.inputs.shape[2]
 
 
-def _channel_mean_feature(samples, gen, n_channels, feature):
-    """Per-item oracle value, averaged over feature components and then
-    over the item's channels."""
-    values = fe.compute_features(samples, gen.sample_rate, feature)
-    return values.mean(axis=1).reshape(-1, n_channels).mean(axis=1)
-
-
-def _materialize_items(gen, n_items, n_channels):
-    """Samples and flattened scalograms for an item grid; signal
-    i * n_channels + c feeds channel c of item i."""
-    samples = en.corpus_samples(gen, n_items * n_channels)
-    mags, _ = sg.scalograms(samples, gen.sample_rate)
-    inputs = mags.reshape(n_items, n_channels, mags.shape[1] * mags.shape[2])
-    return inputs, samples
-
-
 def _threshold_task(inputs, scores, rho, seed, n_subjects, meta) -> LabeledDataset:
     """Binary task labelling each item by its score above the median of
     `scores`, each label flipped with probability `rho`; item i belongs to
@@ -139,15 +122,30 @@ def _threshold_task(inputs, scores, rho, seed, n_subjects, meta) -> LabeledDatas
     )
 
 
-def _check_task_shape(n_items, n_channels, n_subjects, rho):
-    """Reject a task size or label noise no builder can honour, before
-    any signal is generated. `n_subjects` None means no subject ids."""
+def _task_corpus(features, n_items, n_channels, rho, seed, n_subjects, gen):
+    """(inputs, {feature: per-item value}) of a task's item grid, after
+    rejecting a size or label noise no builder can honour, before any
+    signal is generated (`n_subjects` None means no subject ids).
+
+    Both come from the corpus front end of `gen` (by default seeded from
+    the task seed and the features): signal i * n_channels + c feeds
+    channel c of item i, and an item's value is its signals'
+    `corpus_targets` averaged over feature components, then channels.
+    """
     for name, value in (("n_items", n_items), ("n_channels", n_channels),
                         ("n_subjects", n_subjects)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     if not (0.0 <= rho < 0.5):
         raise ValueError("label noise must lie in [0, 0.5)")
+    if gen is None:
+        gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", *features))
+    n = n_items * n_channels
+    inputs = en.corpus_inputs(gen, n).reshape(n_items, n_channels, -1)
+    return inputs, {
+        name: en.corpus_targets(name, gen, n).mean(axis=1).reshape(n_items, -1).mean(axis=1)
+        for name in features
+    }
 
 
 def make_feature_threshold_task(
@@ -164,12 +162,8 @@ def make_feature_threshold_task(
     Labels are flipped independently with probability `rho`. The latent
     scores and threshold ride along for harness self-tests.
     """
-    _check_task_shape(n_items, n_channels, n_subjects, rho)
-    if gen is None:
-        gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", feature))
-    inputs, samples = _materialize_items(gen, n_items, n_channels)
-    scores = _channel_mean_feature(samples, gen, n_channels, feature)
-    return _threshold_task(inputs, scores, rho, seed, n_subjects,
+    inputs, scores = _task_corpus([feature], n_items, n_channels, rho, seed, n_subjects, gen)
+    return _threshold_task(inputs, scores[feature], rho, seed, n_subjects,
                            {"task": f"feature_threshold:{feature}"})
 
 
@@ -191,16 +185,12 @@ def make_multi_feature_task(
     features = list(features)
     if len(features) < 2:
         raise ValueError("need at least two features for a combination rule")
-    _check_task_shape(n_items, n_channels, n_subjects, rho)
-    if gen is None:
-        gen = sg.GenSpec(seed=derive_seed(seed, "task-gen", *features))
-    inputs, samples = _materialize_items(gen, n_items, n_channels)
-
+    inputs, values = _task_corpus(features, n_items, n_channels, rho, seed, n_subjects, gen)
     rng = rng_for(seed, "rule")
     weights = {}
     combined = np.zeros(n_items)
     for name in features:
-        raw = _channel_mean_feature(samples, gen, n_channels, name)
+        raw = values[name]
         std = raw.std()
         if std < 1e-12:
             raise CorpusDegenerateError(f"feature {name} is constant on this corpus")

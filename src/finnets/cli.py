@@ -161,6 +161,9 @@ def cmd_pretrain(args) -> int:
         raise CliError("--recon-signals must be at least 1")
     out_dir = _out_dir(args)
     artifact_path = os.path.join(out_dir, args.out)  # an absolute --out wins
+    artifact_dir = os.path.dirname(artifact_path) or "."  # checked before training
+    if not (os.path.isdir(artifact_dir) and os.access(artifact_dir, os.W_OK)):
+        raise OSError(f"cannot write artifact: {artifact_dir} is not a writable directory")
 
     gen = sg.GenSpec(
         length=args.signal_length, sample_rate=args.sample_rate, seed=args.gen_seed
@@ -289,6 +292,21 @@ def _parse_models(args) -> list:
     return models
 
 
+def _check_inputs(models, n_channels, tf_dim):
+    """Reject a model that cannot read items of `n_channels` channels of
+    `tf_dim` values: a dense model (`fin:`, `baseline-search`) reads one
+    channel, and each artifact reads its own input dim."""
+    for model in models:
+        single = isinstance(model, B.TransferFinModel)
+        if (single or model == "baseline-search") and n_channels > 1:
+            raise CliError("dense transfer models need single-channel data")
+        artifacts = [model.artifact] if single else getattr(model, "artifacts", [])
+        dims = {a.net.topology.input_dim for a in artifacts} - {tf_dim}
+        if dims:
+            raise CliError(f"model {model.tag!r} reads {dims.pop()} values per channel,"
+                           f" not the task's {tf_dim}")
+
+
 def cmd_bench(args) -> int:
     out_dir = _out_dir(args)
     # a marker left by an earlier failed run would outlive this run's report
@@ -306,7 +324,11 @@ def cmd_bench(args) -> int:
         )
         cfg = _train_config(args)
         models = _parse_models(args)
+        # a csv: task ignores --channels and is checked once it is loaded
+        if not (args.task or "").startswith("csv:"):
+            _check_inputs(models, args.channels, sg.DEFAULT_N_SCALES * sg.DEFAULT_N_FRAMES)
         data = _parse_task(args)
+        _check_inputs(models, data.n_channels, data.tf_dim)
         search_records = None
         if "baseline-search" in models:
             winner, search_records = B.baseline_search(
@@ -380,7 +402,7 @@ def _read_signals_csv(path, sample_rate: float):
     """Signals from a CSV: a header row whose first field is `index` (as
     in `index,s0,s1,...`), then one signal per row, an index and then its
     samples, all at `sample_rate`. Rows may differ in length; each needs
-    at least two samples, all finite."""
+    at least two samples, all finite, and there must be at least one."""
     signals = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -400,6 +422,8 @@ def _read_signals_csv(path, sample_rate: float):
                 signals.append(fe.Signal(values, sample_rate))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if not signals:
+        raise IngestError(2, "no signal rows")
     return signals
 
 

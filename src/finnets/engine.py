@@ -18,6 +18,7 @@ penultimate representation instead of the imitated feature.
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,8 +117,8 @@ def corpus_inputs(gen: sg.GenSpec, n_signals: int) -> np.ndarray:
     This is the expensive half of corpus construction and is independent
     of the imitated feature, so it can be computed once and shared.
     """
-    mags, _ = sg.scalograms(corpus_samples(gen, n_signals), gen.sample_rate)
-    return mags.reshape(n_signals, mags.shape[1] * mags.shape[2])
+    mags = sg.scalograms(corpus_samples(gen, n_signals), gen.sample_rate)
+    return mags.reshape(n_signals, sg.DEFAULT_N_SCALES * sg.DEFAULT_N_FRAMES)
 
 
 def corpus_targets(feature: str, gen: sg.GenSpec, n_signals: int) -> np.ndarray:
@@ -221,7 +222,9 @@ def _fin_digest(header: dict, payload: bytes) -> str:
 
 def save_fin(artifact: FinArtifact, path) -> None:
     """Write format v2: the canonical JSON header line, then the net's
-    parameter buffer as little-endian float32 in memory order."""
+    parameter buffer as little-endian float32 in memory order. The bytes
+    go to a temporary file beside `path` that then replaces it, so a
+    failed write leaves any earlier file at `path` as it was."""
     header = {
         "format_version": FORMAT_VERSION,
         "feature": artifact.feature,
@@ -239,9 +242,15 @@ def save_fin(artifact: FinArtifact, path) -> None:
     }
     payload = artifact.net.buffer.astype("<f4", copy=False).tobytes()
     header["sha256"] = _fin_digest(header, payload)
-    with open(path, "wb") as fh:
-        fh.write(_canonical_json(header).encode("ascii"))
-        fh.write(payload)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_canonical_json(header).encode("ascii"))
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the move failed
+            os.remove(tmp)
 
 
 def _json_typed(value, types, field: str):
@@ -587,8 +596,7 @@ def reconstruction_report(artifact: FinArtifact, test_signals) -> Reconstruction
             i = rows[getattr(exc, "row", None) or 0]
             reason = getattr(exc, "reason", exc)
             raise FeatureError(artifact.feature, f"signal {i}: {reason}") from exc
-        mags, _ = sg.scalograms(samples, fs)
-        inputs[rows] = mags.reshape(len(rows), -1)
+        inputs[rows] = sg.scalograms(samples, fs).reshape(len(rows), -1)
     targets = fe.normalize_feature(raw, artifact.norm_lo, artifact.norm_hi)
     preds = nets.forward(artifact.net, inputs)
 

@@ -86,34 +86,6 @@ class GenSpec:
         }
 
 
-@dataclass(frozen=True)
-class TFMap:
-    """Magnitude scalogram: rows are scales (descending Hz), columns time."""
-
-    magnitudes: np.ndarray
-    scales: np.ndarray
-
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=np.float64)
-        scales = np.asarray(self.scales, dtype=np.float64)
-        if mags.ndim != 2 or mags.shape[0] != scales.size:
-            raise ValueError("magnitudes must be n_scales x n_frames")
-        if not np.all(np.isfinite(mags)) or mags.min() < 0:
-            raise ValueError("magnitudes must be finite and non-negative")
-        if not np.all(np.diff(scales) < 0):
-            raise ValueError("scales must be strictly descending")
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "scales", scales)
-
-    @property
-    def n_scales(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[1]
-
-
 def standardize(signal: Signal) -> Signal:
     """Affine map to zero mean, unit population variance."""
     x = signal.samples
@@ -258,10 +230,10 @@ def _pinned_block(cpu, job):
 
 @functools.lru_cache(maxsize=8)
 def _morlet_bank(length, sample_rate):
-    """Center frequencies, Morlet window bank and nfft for one signal
-    length and sample rate. The bank is stored complex, as the spectra it
-    multiplies, so no pass casts it again; both arrays are read-only
-    because every call with that geometry shares them."""
+    """Morlet window bank and nfft for one signal length and sample rate.
+    The bank is stored complex, as the spectra it multiplies, so no pass
+    casts it again; it is read-only because every call with that geometry
+    shares it."""
     omega0 = MORLET_OMEGA0
     freqs = morlet_center_frequencies(sample_rate)
     nfft = 1 << int(np.ceil(np.log2(2 * length)))
@@ -272,25 +244,23 @@ def _morlet_bank(length, sample_rate):
         2.0 * np.exp(-0.5 * (scales[:, None] * omega[None, :] - omega0) ** 2),
         0.0,
     ).astype(np.complex128)
-    freqs.setflags(write=False)
     windows.setflags(write=False)
-    return freqs, windows, nfft
+    return windows, nfft
 
 
-def scalograms(samples: np.ndarray, sample_rate: float):
+def scalograms(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     """Complex Morlet scalograms of a batch of equal-length signals.
 
-    `samples` is (n_signals, length), all at `sample_rate`. Returns
-    (magnitudes, freqs): magnitudes is (n_signals, DEFAULT_N_SCALES,
-    DEFAULT_N_FRAMES) and row i equals `wavelet_transform` of signal i
-    bit for bit; freqs are the descending center frequencies (read-only,
-    shared by every call with the same geometry). The window bank is
-    built once per geometry. The batch splits into one contiguous block
-    per usable CPU (`os.sched_getaffinity`), each run in its own thread
-    pinned to its CPU, a few signals per FFT pass (numpy releases the GIL
-    in every FFT and elementwise call); one CPU or one pass runs inline.
-    Every row goes through the same arithmetic whatever the block, so the
-    result does not depend on the CPU count.
+    `samples` is (n_signals, length), all at `sample_rate`. Returns the
+    (n_signals, DEFAULT_N_SCALES, DEFAULT_N_FRAMES) magnitudes: entry i
+    equals `wavelet_transform` of signal i bit for bit, and its rows are
+    the scales of `morlet_center_frequencies(sample_rate)`. The window
+    bank is built once per geometry. The batch splits into one contiguous
+    block per usable CPU (`os.sched_getaffinity`), each run in its own
+    thread pinned to its CPU, a few signals per FFT pass (numpy releases
+    the GIL in every FFT and elementwise call); one CPU or one pass runs
+    inline. Every row goes through the same arithmetic whatever the
+    block, so the result does not depend on the CPU count.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -298,7 +268,7 @@ def scalograms(samples: np.ndarray, sample_rate: float):
     n_signals, n = x.shape
     if n < DEFAULT_N_FRAMES:
         raise ValueError(f"signal shorter than the {DEFAULT_N_FRAMES}-frame grid")
-    freqs, windows, nfft = _morlet_bank(n, float(sample_rate))
+    windows, nfft = _morlet_bank(n, float(sample_rate))
     pooled = np.empty((n_signals, DEFAULT_N_SCALES, DEFAULT_N_FRAMES))
     cpus = _usable_cpus()
     step = max(1, _CHUNK // len(cpus))
@@ -318,7 +288,7 @@ def scalograms(samples: np.ndarray, sample_rate: float):
     # min and max propagate NaN and allocate nothing batch-sized
     if pooled.size and not (pooled.min() >= 0 and pooled.max() < np.inf):
         raise ValueError("magnitudes must be finite and non-negative")
-    return pooled, freqs
+    return pooled
 
 
 def _pass_buffers(step, length, nfft):
@@ -357,8 +327,9 @@ def _scalogram_block(x, pooled, windows, buffers):
             m, n_scales, n_frames - n_long, size).mean(axis=-1)
 
 
-def wavelet_transform(signal: Signal) -> TFMap:
-    """Complex Morlet scalogram, magnitude only, pooled to a fixed grid.
+def wavelet_transform(signal: Signal) -> np.ndarray:
+    """Complex Morlet scalogram, magnitude only, pooled to a fixed grid:
+    (DEFAULT_N_SCALES, DEFAULT_N_FRAMES), rows in descending frequency.
 
     The transform is evaluated in the frequency domain: for each center
     frequency f the analytic Morlet window exp(-(s*w - omega0)^2 / 2)
@@ -370,13 +341,7 @@ def wavelet_transform(signal: Signal) -> TFMap:
     contiguous chunks (the first `length % DEFAULT_N_FRAMES` one sample
     longer). This is a one-row call of `scalograms`.
     """
-    magnitudes, freqs = scalograms(signal.samples[None, :], signal.sample_rate)
-    return TFMap(magnitudes[0], freqs)
-
-
-def flatten_tf(tf: TFMap) -> np.ndarray:
-    """Row-major flattening of the scalogram into a network input vector."""
-    return tf.magnitudes.ravel().copy()
+    return scalograms(signal.samples[None, :], signal.sample_rate)[0]
 
 
 def gen_spec_digest(spec: GenSpec) -> str:

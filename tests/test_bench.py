@@ -372,6 +372,38 @@ def test_multi_feature_task_errors():
         )
 
 
+@pytest.mark.parametrize("kind", ["feature-threshold", "multi-feature"])
+def test_task_items_are_the_corpus_front_end_grouped_by_channel(kind):
+    # signal i * c + k of the corpus feeds channel k of item i
+    n, c = 10, 2
+    if kind == "feature-threshold":
+        data = bench.make_feature_threshold_task(
+            "entropy", n_channels=c, n_items=n, rho=0.0, seed=3, gen=SMALL_GEN)
+        weights = {"entropy": None}
+    else:
+        data = bench.make_multi_feature_task(
+            ("entropy", "kurtosis"), n_channels=c, n_items=n, rho=0.0, seed=3,
+            gen=SMALL_GEN)
+        weights = data.meta["weights"]
+    inputs = engine.corpus_inputs(SMALL_GEN, n * c)
+    assert np.array_equal(data.inputs, inputs.reshape(n, c, -1))
+    assert np.array_equal(data.inputs[3, 1], inputs[3 * c + 1])
+    assert np.array_equal(
+        data.inputs[3, 1], signals.wavelet_transform(signals.generate(SMALL_GEN, 7)).ravel())
+    means = {}
+    for name in weights:
+        per_signal = engine.corpus_targets(name, SMALL_GEN, n * c).mean(axis=1)
+        means[name] = per_signal.reshape(n, c).mean(axis=1)
+        assert means[name][3] == (per_signal[6] + per_signal[7]) / 2
+    if kind == "feature-threshold":
+        assert np.array_equal(data.oracle_scores, means["entropy"])
+    else:
+        combined = np.zeros(n)
+        for name, w in weights.items():
+            combined += w * (means[name] - means[name].mean()) / means[name].std()
+        assert np.array_equal(data.oracle_scores, combined)
+
+
 # ---------------------------------------------------------------------------
 # models and runner
 # ---------------------------------------------------------------------------

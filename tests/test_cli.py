@@ -82,6 +82,21 @@ def test_pretrain_validation(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_pretrain_checks_its_artifact_path_before_training(tmp_path, monkeypatch, capsys):
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("pretrained before the artifact path was checked")
+
+    monkeypatch.setattr(engine, "pretrain_fin", no_pretrain)
+    base = ["pretrain", "--feature", "entropy", "--out-dir", str(tmp_path)]
+    assert main(base + ["--out", "missing/e.fin"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write artifact: ") and "missing" in err
+    monkeypatch.setattr(os, "access", lambda path, mode: False)  # a read-only directory
+    assert main(base + ["--out", "e.fin"]) == 4
+    assert capsys.readouterr().err.startswith("error: cannot write artifact: ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_pretrain_rejects_empty_reconstruction(tmp_path, capsys):
     base = [
         "pretrain", "--feature", "entropy", "--signals", "100",
@@ -276,6 +291,15 @@ def test_oracle_signals_csv(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: row 3: samples must be finite\n"
         assert captured.out == ""
+
+
+def test_oracle_signals_csv_without_signal_rows(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("index,s0,s1\n")
+    assert main(["oracle", "--feature", "entropy", "--signals-csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: row 2: no signal rows\n"
+    assert captured.out == ""
 
 
 def test_oracle_f0_of_a_short_signal(tmp_path, capsys):
@@ -602,10 +626,14 @@ def test_bench_csv_task(tmp_path, capsys):
     ("baseline-search", ["--search-candidates", "0"], 2,
      "--search-candidates must be at least 1"),
     ("knn,fin:/nonexistent.fin", [], 4, "/nonexistent.fin"),
+    ("knn,baseline-search", ["--channels", "2"], 2,
+     "dense transfer models need single-channel data"),
+    ("knn,fin:{art}", ["--channels", "2"], 2,
+     "dense transfer models need single-channel data"),
 ], ids=["unknown", "no-model", "duplicate", "empty-fin-path", "empty-ensemble-path",
-        "knn-k", "search-candidates", "missing-artifact"])
+        "knn-k", "search-candidates", "missing-artifact", "search-channels", "fin-channels"])
 def test_bench_models_are_checked_before_the_task(
-    monkeypatch, tmp_path, capsys, models, extra, code, message
+    artifact_path, monkeypatch, tmp_path, capsys, models, extra, code, message
 ):
     def build(*args, **kwargs):
         raise AssertionError("the task was built before --models was checked")
@@ -613,10 +641,50 @@ def test_bench_models_are_checked_before_the_task(
     for name in ("make_feature_threshold_task", "make_multi_feature_task",
                  "ingest_dataset_csv"):
         monkeypatch.setattr(bench, name, build)
-    argv = BENCH_BASE + ["--models", models, *extra, "--out-dir", str(tmp_path)]
+    argv = BENCH_BASE + ["--models", models.format(art=artifact_path), *extra,
+                         "--out-dir", str(tmp_path)]
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert (tmp_path / "FAILED").exists()
+
+
+@pytest.mark.parametrize("n_channels, tf_dim, models, message", [
+    (2, 6, "baseline-search", "dense transfer models need single-channel data"),
+    (2, 1024, "fin:{art}", "dense transfer models need single-channel data"),
+    (1, 6, "fin:{art}", "reads 1024 values per channel, not the task's 6"),
+    (2, 6, "knn,fin-ensemble:{art}", "reads 1024 values per channel, not the task's 6"),
+], ids=["search-channels", "fin-channels", "fin-dim", "ensemble-dim"])
+def test_bench_checks_a_csv_task_before_the_search(
+    artifact_path, monkeypatch, tmp_path, capsys, n_channels, tf_dim, models, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a model trained before the csv task was checked")
+
+    monkeypatch.setattr(bench, "baseline_search", never)
+    monkeypatch.setattr(bench, "run_benchmark", never)
+    labels = np.arange(30) % 2
+    inputs = np.random.default_rng(7).normal(size=(30, n_channels, tf_dim))
+    path = tmp_path / "task.csv"
+    bench.export_dataset_csv(bench.LabeledDataset(inputs, labels, 2), path)
+    argv = ["bench", "--task", f"csv:{path}", "--models", models.format(art=artifact_path),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_csv_task_ignores_the_channels_flag(tmp_path, capsys):
+    # a single-channel csv task runs dense models whatever --channels says
+    labels = np.arange(90) % 2
+    inputs = np.random.default_rng(7).normal(size=(90, 1, 6))
+    inputs[:, 0, 0] += labels * 3.0
+    path = tmp_path / "task.csv"
+    bench.export_dataset_csv(bench.LabeledDataset(inputs, labels, 2), path)
+    assert main([
+        "bench", "--task", f"csv:{path}", "--channels", "2", "--repeats", "1",
+        "--models", "baseline-search", "--search-candidates", "1",
+        "--max-epochs", "2", "--patience", "2", "--out-dir", str(tmp_path / "out"),
+    ]) == 0
+    assert "model baseline-search accuracy" in capsys.readouterr().out
 
 
 def test_bench_flag_validation(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Pretraining, artifact persistence, head transfer, and ensembles."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import re
@@ -81,7 +82,7 @@ def test_corpus_memo_keys_on_recipe_and_size():
     mixed = sg.GenSpec(length=64, seed=17, family_weights={"white_noise": 0.5, "burst": 0.5})
     for gen, n in ((TINY_GEN, 12), (mixed, 12), (TINY_GEN, 12), (TINY_GEN, 7)):
         fresh = [sg.generate(gen, i) for i in range(n)]
-        want_inputs = np.array([sg.flatten_tf(sg.wavelet_transform(s)) for s in fresh])
+        want_inputs = np.array([sg.wavelet_transform(s).ravel() for s in fresh])
         want_targets = np.array([fe.compute_feature(s, "kurtosis") for s in fresh])
         assert np.array_equal(engine.corpus_inputs(gen, n), want_inputs)
         assert np.array_equal(engine.corpus_targets("kurtosis", gen, n), want_targets)
@@ -246,6 +247,42 @@ def stock_artifact():
         "entropy", nets.init_random(topology, 4), np.zeros(1), np.ones(1), "0" * 64,
         {"best_val_loss": 0.1, "epochs": 1},
     )
+
+
+def test_a_failed_save_leaves_the_old_artifact(tiny_artifact, tmp_path, monkeypatch):
+    path = saved(tiny_artifact, tmp_path)
+    before = path.read_bytes()
+
+    class FullDisk:
+        """A file whose second write fails, as on a disk that fills up."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError(28, "No space left on device")
+            self.fh.write(data)
+
+    monkeypatch.setattr(engine, "open", lambda p, mode: FullDisk(open(p, mode)),
+                        raising=False)
+    other = dataclasses.replace(tiny_artifact, history_summary={"best_val_loss": 0.5,
+                                                                 "epochs": 1})
+    with pytest.raises(OSError, match="No space left"):
+        engine.save_fin(other, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    monkeypatch.undo()
+    engine.save_fin(other, path)  # control: the same save without the fault replaces it
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_save_load_resave_byte_identical(tiny_artifact, tmp_path):

@@ -87,22 +87,22 @@ def test_center_frequencies_geometric_and_descending():
 
 def test_scalogram_shape_and_scales():
     spec = sg.GenSpec(seed=2)
-    tf = sg.wavelet_transform(sg.generate(spec, 0))
-    assert tf.magnitudes.shape == (32, 32)
-    assert tf.scales.shape == (32,)
-    assert np.all(np.diff(tf.scales) < 0)
-    assert tf.n_scales == 32 and tf.n_frames == 32
+    mags = sg.wavelet_transform(sg.generate(spec, 0))
+    assert mags.shape == (sg.DEFAULT_N_SCALES, sg.DEFAULT_N_FRAMES) == (32, 32)
+    # one row per center frequency, the scales in descending Hz
+    assert mags.shape[0] == sg.morlet_center_frequencies(spec.sample_rate).size
+    assert np.all(np.isfinite(mags)) and mags.min() >= 0
 
 
 def test_pure_tone_localizes_to_matching_scale():
     fs = 128.0
+    freqs = sg.morlet_center_frequencies(fs)  # the scalogram's rows
     t = np.arange(512) / fs
     for freq in (4.0, 10.0, 25.0):
         tone = Signal(np.sin(2 * np.pi * freq * t), fs)
-        tf = sg.wavelet_transform(tone)
-        row_energy = tf.magnitudes.sum(axis=1)
-        best = tf.scales[int(np.argmax(row_energy))]
-        nearest = tf.scales[int(np.argmin(np.abs(tf.scales - freq)))]
+        row_energy = sg.wavelet_transform(tone).sum(axis=1)
+        best = freqs[int(np.argmax(row_energy))]
+        nearest = freqs[int(np.argmin(np.abs(freqs - freq)))]
         assert best == pytest.approx(nearest)
 
 
@@ -110,22 +110,9 @@ def test_unit_amplitude_tone_has_unit_response():
     fs = 128.0
     t = np.arange(512) / fs
     tone = Signal(np.sin(2 * np.pi * 10.0 * t), fs)
-    tf = sg.wavelet_transform(tone)
-    row = int(np.argmin(np.abs(tf.scales - 10.0)))
-    mid = tf.magnitudes[row, 12:19]  # 16-sample frames over samples 192:304
+    row = int(np.argmin(np.abs(sg.morlet_center_frequencies(fs) - 10.0)))
+    mid = sg.wavelet_transform(tone)[row, 12:19]  # 16-sample frames over samples 192:304
     assert np.all(np.abs(mid - 1.0) < 0.05)
-
-
-def test_tf_map_validation():
-    good_scales = np.array([8.0, 4.0, 2.0])
-    with pytest.raises(ValueError):
-        sg.TFMap(np.ones((2, 5)), good_scales)  # row count mismatch
-    with pytest.raises(ValueError):
-        sg.TFMap(np.ones((3, 5)), good_scales[::-1])  # ascending scales
-    with pytest.raises(ValueError):
-        sg.TFMap(-np.ones((3, 5)), good_scales)
-    with pytest.raises(ValueError):
-        sg.TFMap(np.full((3, 5), np.nan), good_scales)
 
 
 def test_short_signal_rejected_by_transform():
@@ -157,13 +144,11 @@ def _reference_transform(x, fs):
 def test_scalograms_match_per_signal_transform(length, fs):
     spec = sg.GenSpec(length=length, sample_rate=fs, seed=9)
     signals = [sg.generate(spec, i) for i in range(19)]  # more than two FFT chunks
-    mags, freqs = sg.scalograms(np.stack([s.samples for s in signals]), fs)
+    mags = sg.scalograms(np.stack([s.samples for s in signals]), fs)
     assert mags.shape == (19, sg.DEFAULT_N_SCALES, sg.DEFAULT_N_FRAMES)
     for i, signal in enumerate(signals):
-        tf = sg.wavelet_transform(signal)
-        assert np.array_equal(mags[i], tf.magnitudes)
+        assert np.array_equal(mags[i], sg.wavelet_transform(signal))
         assert np.array_equal(mags[i], _reference_transform(signal.samples, fs))
-    assert np.array_equal(freqs, tf.scales)
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +171,7 @@ def test_scalograms_do_not_depend_on_cpu_count(cpus, batch_and_reference, monkey
     sys.setswitchinterval(1e-6)
     try:
         for size in sorted({1, step - 1, step, step + 1, 2 * step + 3, 800} - {0}):
-            mags, _ = sg.scalograms(x[:size], 100.0)
+            mags = sg.scalograms(x[:size], 100.0)
             assert np.array_equal(mags, reference[:size]), size
     finally:
         sys.setswitchinterval(interval)
@@ -227,22 +212,11 @@ def test_a_large_batch_runs_one_pinned_block_per_cpu(monkeypatch):
 def test_scalograms_reject_non_finite_rows(bad):
     spec = sg.GenSpec(seed=4)
     samples = np.stack([sg.generate(spec, i).samples for i in range(3)])
-    mags, _ = sg.scalograms(samples, spec.sample_rate)
+    mags = sg.scalograms(samples, spec.sample_rate)
     assert np.all(np.isfinite(mags))
     samples[1, 100] = bad
     with pytest.raises(ValueError):
         sg.scalograms(samples, spec.sample_rate)
-
-
-def test_flatten_is_row_major_copy():
-    spec = sg.GenSpec(seed=1)
-    tf = sg.wavelet_transform(sg.generate(spec, 3))
-    flat = sg.flatten_tf(tf)
-    assert flat.shape == (1024,)
-    assert flat[1] == tf.magnitudes[0, 1]
-    assert flat[32] == tf.magnitudes[1, 0]
-    flat[0] = -1.0
-    assert tf.magnitudes[0, 0] != -1.0
 
 
 def test_digest_is_stable_and_key_order_free():
