@@ -355,19 +355,14 @@ class SplitPlan:
         object.__setattr__(self, "fractions", fr)
 
 
-def _check_class_coverage(labels, n_classes, parts):
-    for name, idx in parts:
-        present = np.unique(labels[idx])
-        if len(present) < n_classes:
-            raise SplitError(f"{name} split lost a class; dataset too small")
-
-
 def split_repeated(data: LabeledDataset, plan: SplitPlan, k: int):
     """Seeded draw k of the test-then-validation split.
 
     Test takes round(TEST_FRACTION*N) items; validation takes
     round(VAL_FRACTION*remainder); training keeps the rest. Indices are
-    sorted; the draw depends only on (plan.seed, k).
+    sorted; the draw depends only on (plan.seed, k). The draw is not
+    stratified: a part left with no item of some class is a `SplitError`
+    naming the part, the draw, its size and the class.
     """
     if not (0 <= k < plan.repeats):
         raise ValueError("repetition index out of range")
@@ -380,9 +375,11 @@ def split_repeated(data: LabeledDataset, plan: SplitPlan, k: int):
     test = np.sort(perm[:n_test])
     val = np.sort(perm[n_test : n_test + n_val])
     train = np.sort(perm[n_test + n_val :])
-    _check_class_coverage(
-        data.labels, data.n_classes, [("train", train), ("val", val), ("test", test)]
-    )
+    for name, part in (("train", train), ("val", val), ("test", test)):
+        missing = np.setdiff1d(np.arange(data.n_classes), data.labels[part])
+        if missing.size:
+            raise SplitError(f"{name} part of split {k} ({len(part)} items)"
+                             f" holds no item of class {missing[0]}")
     return train, val, test
 
 

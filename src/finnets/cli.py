@@ -131,17 +131,14 @@ def _echo_config(args, out_dir: str, **resolved) -> None:
 
 
 def _train_config(args) -> nets.TrainConfig:
-    try:
-        return nets.TrainConfig(
-            learning_rate=args.learning_rate,
-            momentum=args.momentum,
-            batch_size=args.batch_size,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return nets.TrainConfig(
+        learning_rate=args.learning_rate,
+        momentum=args.momentum,
+        batch_size=args.batch_size,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +171,7 @@ def cmd_pretrain(args) -> int:
     try:
         en.save_fin(artifact, artifact_path)
     except OSError as exc:
-        print(f"error: cannot write artifact: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(f"cannot write artifact: {exc}") from exc
 
     # fresh signals, disjoint from the pretraining corpus by index
     recon_sigs = (
@@ -404,24 +400,21 @@ def _read_signals_csv(path, sample_rate: float):
     samples, all at `sample_rate`. Rows may differ in length; each needs
     at least two samples, all finite, and there must be at least one."""
     signals = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[0] != "index":
-                raise IngestError(1, "signal CSV must start with an index column")
-            for row_no, row in enumerate(reader, start=2):
-                try:
-                    values = np.array([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise IngestError(row_no, f"bad sample value: {exc}") from None
-                if values.size < 2:
-                    raise IngestError(row_no, "signal needs at least two samples")
-                if not np.all(np.isfinite(values)):
-                    raise IngestError(row_no, "samples must be finite")
-                signals.append(fe.Signal(values, sample_rate))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[0] != "index":
+            raise IngestError(1, "signal CSV must start with an index column")
+        for row_no, row in enumerate(reader, start=2):
+            try:
+                values = np.array([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise IngestError(row_no, f"bad sample value: {exc}") from None
+            if values.size < 2:
+                raise IngestError(row_no, "signal needs at least two samples")
+            if not np.all(np.isfinite(values)):
+                raise IngestError(row_no, "samples must be finite")
+            signals.append(fe.Signal(values, sample_rate))
     if not signals:
         raise IngestError(2, "no signal rows")
     return signals
@@ -462,23 +455,20 @@ def cmd_oracle(args) -> int:
         # the header is row 1
         signals, first_row = _read_signals_csv(args.signals_csv, args.sample_rate), 2
     lo = hi = None
-    if args.normalized:
-        if args.artifact:
-            artifact = en.load_fin(args.artifact)
-            if artifact.feature != feature:
-                raise CliError(
-                    f"artifact imitates {artifact.feature}, not {feature}"
-                )
-            lo, hi = artifact.norm_lo, artifact.norm_hi
-        elif args.range:
-            try:
-                lo_s, hi_s = args.range.split(":")
-                lo = np.array([float(lo_s)])
-                hi = np.array([float(hi_s)])
-            except ValueError as exc:
-                raise CliError(f"bad --range, want lo:hi: {exc}") from exc
-        else:
-            raise CliError("--normalized needs --artifact or --range")
+    if args.artifact is not None and args.range is not None:
+        raise CliError("give at most one of --artifact or --range")
+    if args.artifact is not None:
+        artifact = en.load_fin(args.artifact)
+        if artifact.feature != feature:
+            raise CliError(f"artifact imitates {artifact.feature}, not {feature}")
+        lo, hi = artifact.norm_lo, artifact.norm_hi
+    elif args.range is not None:
+        try:
+            lo_s, hi_s = args.range.split(":")
+            lo = np.array([float(lo_s)])
+            hi = np.array([float(hi_s)])
+        except ValueError as exc:
+            raise CliError(f"bad --range, want lo:hi: {exc}") from exc
     values = _oracle_values(signals, feature, first_row)
     if lo is not None:
         values = fe.normalize_feature(values, lo, hi)
@@ -558,9 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signals-csv", dest="signals_csv")
     p.add_argument("--sample-rate", dest="sample_rate", type=float,
                    default=sg.DEFAULT_SAMPLE_RATE)
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--artifact")
-    p.add_argument("--range")
+    p.add_argument("--artifact", help="print values on this artifact's [0, 1] scale")
+    p.add_argument("--range", help="LO:HI; print values on this range's [0, 1] scale")
     p.set_defaults(func=cmd_oracle)
     return parser
 

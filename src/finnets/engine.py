@@ -29,6 +29,7 @@ from . import signals as sg
 from .errors import (
     CorpusDegenerateError,
     CorruptArtifact,
+    DegenerateSignal,
     FeatureError,
     ShapeError,
     UnsupportedVersion,
@@ -89,9 +90,7 @@ def split_indices(seed: int, n: int):
 # One-entry memo of the last corpus's samples, keyed on (recipe digest,
 # n_signals): corpus_inputs and every corpus_targets call on one corpus
 # share a single generation pass. It holds length x 8 bytes per signal
-# (82 MB for the default 20k corpus). The entry is rebound as one tuple,
-# so a reader in another thread sees either the old or the new pair,
-# never a key with another corpus's samples.
+# (82 MB for the default 20k corpus).
 _last_corpus = (None, None)
 
 
@@ -507,13 +506,8 @@ def build_ensemble(
     Branch weights are bit-exact copies; only the softmax head is freshly
     initialized from the seed.
     """
-    if not artifacts:
-        raise ValueError("need at least one artifact")
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    in_dims = {a.net.topology.input_dim for a in artifacts}
-    if len(in_dims) != 1:
-        raise ShapeError("artifact input dims must all agree")
     branches = [a.net for a in artifacts]
     head_in = n_channels * sum(b.topology.output_dim for b in branches)
     rng = rng_for(seed, "ensemble-head")
@@ -572,6 +566,11 @@ class ReconstructionReport:
 def reconstruction_report(artifact: FinArtifact, test_signals) -> ReconstructionReport:
     """Compare network outputs against the oracle on fresh signals.
 
+    The signals must share one length and sample rate (a `ValueError`
+    names the first that does not), so one oracle call and one scalogram
+    call cover them all. A signal the oracle cannot take is a
+    `FeatureError` naming it.
+
     Absolute errors compare clipped predictions with normalized targets,
     so every error lies in [0,1]. The `mse` field uses unclipped outputs
     and therefore matches training-time validation loss when evaluated on
@@ -580,23 +579,18 @@ def reconstruction_report(artifact: FinArtifact, test_signals) -> Reconstruction
     signals = list(test_signals)
     if not signals:
         raise ValueError("reconstruction report needs at least one signal")
-    # one oracle and one scalogram call per (length, sample rate); normally
-    # there is one
-    by_geometry = {}
+    fs = signals[0].sample_rate
     for i, signal in enumerate(signals):
-        by_geometry.setdefault((len(signal), signal.sample_rate), []).append(i)
-    raw = np.empty((len(signals), fe.feature_width(artifact.feature)))
-    inputs = np.empty((len(signals), sg.DEFAULT_N_SCALES * sg.DEFAULT_N_FRAMES))
-    for (_, fs), rows in by_geometry.items():
-        samples = np.stack([signals[i].samples for i in rows])
-        try:
-            raw[rows] = fe.compute_features(samples, fs, artifact.feature)
-        except Exception as exc:
-            # a degenerate row is named; any other failure fails every row
-            i = rows[getattr(exc, "row", None) or 0]
-            reason = getattr(exc, "reason", exc)
-            raise FeatureError(artifact.feature, f"signal {i}: {reason}") from exc
-        inputs[rows] = sg.scalograms(samples, fs).reshape(len(rows), -1)
+        if (len(signal), signal.sample_rate) != (len(signals[0]), fs):
+            raise ValueError(f"signal {i} differs in length or sample rate from signal 0")
+    samples = np.stack([signal.samples for signal in signals])
+    try:
+        raw = fe.compute_features(samples, fs, artifact.feature)
+    except DegenerateSignal as exc:
+        raise FeatureError(artifact.feature, f"signal {exc.row}: {exc.reason}") from exc
+    except ValueError as exc:
+        raise FeatureError(artifact.feature, exc) from exc
+    inputs = sg.scalograms(samples, fs).reshape(len(signals), -1)
     targets = fe.normalize_feature(raw, artifact.norm_lo, artifact.norm_hi)
     preds = nets.forward(artifact.net, inputs)
 

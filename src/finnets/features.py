@@ -347,10 +347,12 @@ def normalize_feature(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.
 
     `values` holds one feature vector or a batch of them in its last axis;
     `lo` and `hi` give the range of each component and must satisfy
-    hi > lo elementwise.
+    hi > lo elementwise with a finite width hi - lo.
     """
     if lo.shape != values.shape[-1:] or hi.shape != values.shape[-1:]:
         raise ValueError("normalization range shape mismatch")
-    if not np.all(hi > lo):
-        raise ValueError("normalization range requires hi > lo elementwise")
-    return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # an overflowing width is refused below
+        width = hi - lo
+    if not np.all((hi > lo) & np.isfinite(width)):
+        raise ValueError("normalization range requires finite hi > lo elementwise")
+    return np.clip((values - lo) / width, 0.0, 1.0)

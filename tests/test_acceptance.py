@@ -18,6 +18,8 @@ import test_features as refs
 from finnets import bench, engine, features as fe, nets, signals as sg, stats
 from finnets.rng import derive_seed, rng_for
 
+pytestmark = pytest.mark.acceptance
+
 GEN = sg.GenSpec(seed=42)
 PRETRAIN_CFG = nets.TrainConfig(
     learning_rate=0.01, momentum=0.9, batch_size=64,

@@ -128,6 +128,17 @@ def test_split_repeated_class_coverage():
             bench.split_repeated(data, plan, 0)
 
 
+def test_split_repeated_names_the_part_that_lost_a_class():
+    # 30 items per class, but this unstratified draw fills val from class 0
+    data = toy_dataset(n_items=60)
+    seed = derive_seed(derive_seed(0, "search"), "search-splits")
+    plan = bench.SplitPlan(mode="repeated_random", repeats=3, seed=seed)
+    with pytest.raises(SplitError) as err:
+        bench.split_repeated(data, plan, 0)
+    assert str(err.value) == "val part of split 0 (8 items) holds no item of class 1"
+    bench.split_repeated(data, plan, 1)  # another draw covers both classes
+
+
 def test_split_plan_validation():
     with pytest.raises(ValueError):
         bench.SplitPlan(mode="bootstrap")

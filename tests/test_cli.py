@@ -97,6 +97,23 @@ def test_pretrain_checks_its_artifact_path_before_training(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
+def test_pretrain_reports_a_failed_artifact_write(tmp_path, monkeypatch, capsys):
+    def failing_save(artifact, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(engine, "save_fin", failing_save)
+    code = main([
+        "pretrain", "--feature", "entropy", "--signals", "100",
+        "--max-epochs", "1", "--patience", "1", "--recon-signals", "1",
+        "--out", "e.fin", "--out-dir", str(tmp_path),
+    ])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write artifact: disk full\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_pretrain_rejects_empty_reconstruction(tmp_path, capsys):
     base = [
         "pretrain", "--feature", "entropy", "--signals", "100",
@@ -229,25 +246,31 @@ def test_oracle_demo_values(capsys):
 def test_oracle_normalized_range(capsys):
     code = main([
         "oracle", "--feature", "entropy", "--demo", "constant",
-        "--normalized", "--range", "0:4",
+        "--range", "0:4",
     ])
     assert code == 0
     assert float(capsys.readouterr().out.split()[1]) == 0.0
+    # a range alone normalizes: the noise demo's raw entropy is 3.4755...
+    assert main(["oracle", "--feature", "entropy", "--demo", "noise"]) == 0
+    raw = float(capsys.readouterr().out.split()[1])
+    assert raw == pytest.approx(3.4755, abs=1e-4)
+    assert main(["oracle", "--feature", "entropy", "--demo", "noise", "--range", "0:4"]) == 0
+    assert float(capsys.readouterr().out.split()[1]) == pytest.approx(raw / 4, rel=1e-15)
 
 
 def test_oracle_range_with_negative_lower_bound(capsys):
     code = main([
         "oracle", "--feature", "kurtosis", "--demo", "noise",
-        "--normalized", "--range=-3:7.5",
+        "--range=-3:7.5",
     ])
     assert code == 0
     assert 0.0 <= float(capsys.readouterr().out.split()[1]) <= 1.0
 
 
-def test_oracle_normalized_with_artifact(artifact_path, capsys):
+def test_oracle_normalized_with_artifact(artifact_path, tmp_path, capsys):
     code = main([
         "oracle", "--feature", "entropy", "--demo", "noise",
-        "--normalized", "--artifact", artifact_path,
+        "--artifact", artifact_path,
     ])
     assert code == 0
     value = float(capsys.readouterr().out.split()[1])
@@ -255,10 +278,18 @@ def test_oracle_normalized_with_artifact(artifact_path, capsys):
     # artifact imitates entropy, not kurtosis
     code = main([
         "oracle", "--feature", "kurtosis", "--demo", "noise",
-        "--normalized", "--artifact", artifact_path,
+        "--artifact", artifact_path,
     ])
     assert code == 2
     capsys.readouterr()
+    # an artifact is read whenever it is given
+    code = main([
+        "oracle", "--feature", "entropy", "--demo", "noise",
+        "--artifact", str(tmp_path / "missing.fin"),
+    ])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "missing.fin" in captured.err and captured.out == ""
 
 
 def write_signals_csv(path, rows):
@@ -291,6 +322,14 @@ def test_oracle_signals_csv(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: row 3: samples must be finite\n"
         assert captured.out == ""
+
+
+def test_oracle_missing_signals_csv_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    assert main(["oracle", "--feature", "entropy", "--signals-csv", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "missing.csv" in captured.err
+    assert captured.out == ""
 
 
 def test_oracle_signals_csv_without_signal_rows(tmp_path, capsys):
@@ -354,12 +393,19 @@ def test_oracle_flag_validation(tmp_path, capsys):
     ]) == 2
     assert main(["oracle", "--feature", "loudness", "--demo", "noise"]) == 2
     assert main(["oracle", "--feature", "entropy", "--demo", "xhz-sine"]) == 2
+    capsys.readouterr()
     assert main(["oracle", "--feature", "entropy", "--demo", "noise",
-                 "--normalized"]) == 2
-    # an empty or reversed range is a config error, not a number
-    for bad_range in ("1:1", "5:1"):
+                 "--artifact", str(tmp_path / "a.fin"), "--range", "0:1"]) == 2
+    assert capsys.readouterr().err == "error: give at most one of --artifact or --range\n"
+    # an empty, reversed or infinite range is a config error, not a number
+    for bad_range in ("1:1", "5:1", "0:inf", "-inf:inf", "0:1e400"):
         assert main(["oracle", "--feature", "entropy", "--demo", "noise",
-                     "--normalized", "--range", bad_range]) == 2
+                     f"--range={bad_range}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: normalization range requires finite hi > lo elementwise\n"
+        )
+        assert captured.out == ""
     # degenerate input maps to the config-error code, not a traceback
     assert main(["oracle", "--feature", "kurtosis", "--demo", "constant"]) == 2
     capsys.readouterr()

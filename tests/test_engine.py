@@ -198,6 +198,16 @@ def test_reconstruction_report_rejects_no_signals(tiny_artifact):
     assert np.isfinite(one.mean_abs_error) and one.histogram_counts.sum() == 1
 
 
+def test_reconstruction_report_takes_one_geometry(tiny_artifact):
+    good = sg.generate(sg.GenSpec(length=512, seed=17), 0)
+    short = Signal(good.samples[:300], good.sample_rate)
+    with pytest.raises(ValueError, match="^signal 1 differs"):
+        engine.reconstruction_report(tiny_artifact, [good, short])
+    slow = Signal(good.samples, good.sample_rate / 2)
+    with pytest.raises(ValueError, match="^signal 2 differs"):
+        engine.reconstruction_report(tiny_artifact, [good, good, slow])
+
+
 def test_reconstruction_names_the_failing_feature_and_signal():
     art = fake_artifact("kurtosis", 1, 7, in_dim=TINY_TOPOLOGY.input_dim)
     good = sg.generate(TINY_GEN, 0)
@@ -206,6 +216,11 @@ def test_reconstruction_names_the_failing_feature_and_signal():
         engine.reconstruction_report(art, [good, constant])
     assert err.value.feature == "kurtosis"
     assert "signal 1" in str(err.value)
+    # a failure of the whole batch names no signal
+    short = Signal(np.ones(3), good.sample_rate)
+    with pytest.raises(FeatureError) as err:
+        engine.reconstruction_report(art, [short, short])
+    assert str(err.value) == "kurtosis: kurtosis needs at least 4 samples"
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +616,8 @@ def test_ensemble_rejects_mismatched_branches():
             fake_artifact("kurtosis", 1, 1, in_dim=32)]
     with pytest.raises(ShapeError):
         engine.build_ensemble(arts, n_channels=2, n_classes=2, seed=0)
+    with pytest.raises(ValueError, match="at least one branch"):
+        engine.build_ensemble([], n_channels=2, n_classes=2, seed=0)
     good = engine.build_ensemble(arts[:1], n_channels=2, n_classes=2, seed=0)
     with pytest.raises(ShapeError):
         good.forward(np.ones((4, 3, 64)))  # wrong channel count

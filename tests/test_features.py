@@ -5,6 +5,8 @@ naive route (explicit loops, scipy.stats, a hand-built cosine matrix) and
 compared at tight tolerances over a seeded corpus of generated signals.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -337,6 +339,13 @@ def test_normalize_rejects_bad_ranges():
         fe.normalize_feature(np.ones(1), np.ones(1), np.ones(1))  # hi == lo
     with pytest.raises(ValueError):
         fe.normalize_feature(np.ones(1), np.array([5.0]), np.array([1.0]))
+    # an infinite bound or width would map every value to 0 or NaN; an
+    # overflowing width is refused without a warning
+    bad = ((0.0, np.inf), (-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308))
+    for lo, hi in bad:
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="finite hi > lo"):
+            warnings.simplefilter("error")
+            fe.normalize_feature(np.ones(1), np.array([lo]), np.array([hi]))
 
 
 def test_mel_filterbank_is_shared_and_read_only():
