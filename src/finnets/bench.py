@@ -15,9 +15,12 @@ indices; test items reach a fitted predictor only at final evaluation.
 """
 
 import csv
+import functools
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -206,25 +209,202 @@ def make_multi_feature_task(
 # Dataset CSV interchange
 # ---------------------------------------------------------------------------
 
+# `export_dataset_csv` writes each value as the bytes of `"%.17g" % v`,
+# made for a block of rows at a time by the numpy kernel below: exact
+# decimal digits from a double-double product, then the `%g` layout by
+# byte masks. Values it cannot certify go through `%` one at a time.
+_G17_CHUNK = 8192  # values per block; bounds the kernel's memory
+_G17_RANGE = (1e-250, 1e250)  # |v| whose scaled product neither overflows nor underflows
+_G17_TIE = 1e-6  # a fraction this near 1/2 may be a tie: the product's error is ~1e-14
+_G17_SPLIT = 134217729.0  # 2**27 + 1, Dekker's split of a double into two halves
+_G17_KMAX = 260  # decimal exponents the tables cover, past _G17_RANGE and its off-by-ones
+# A value's field: sign, "0.000" (fixed notation below 1), 17 digits each
+# followed by a "." slot ("e" after the last), exponent sign and three
+# digits (one aligned uint32), separator, and padding to 48 bytes.
+_G17_DIGIT = slice(6, 39, 2)
+_G17_EXP = 39
+_G17_SEP = 44
+_G17_WIDTH = 48
+
+
+@functools.cache
+def _g17_powers():
+    """10**(16 - k) by decimal exponent k (index k + _G17_KMAX) as a
+    double-double (hi, lo), hi also split in two for Dekker's product.
+    Built exactly on first use; read-only."""
+    exact = [Fraction(10) ** (16 - k) for k in range(-_G17_KMAX, _G17_KMAX + 1)]
+    hi = np.array([float(x) for x in exact])
+    lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi.tolist())])
+    c = _G17_SPLIT * hi
+    hi_h = c - (c - hi)
+    powers = (hi, hi_h, hi - hi_h, lo)
+    for t in powers:
+        t.setflags(write=False)
+    return powers
+
+
+@functools.cache
+def _g17_layout():
+    """Read-only tables of the `%g` layout: by decimal exponent k (index
+    k + _G17_KMAX), the layout class (0-20 fixed notation for k = -4..16,
+    21 or 22 exponent notation with two or three exponent digits) and the
+    exponent bytes; the field template; and the byte mask that keeps a
+    field's output, by (class, significant digits, sign)."""
+    ks = range(-_G17_KMAX, _G17_KMAX + 1)
+    layout = np.array([k + 4 if -4 <= k < 17 else 21 + (abs(k) >= 100) for k in ks])
+    exponent = np.frombuffer(b"".join(b"%+04d" % k for k in ks), np.uint32)
+    template = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,\0\0\0", np.uint8)
+    digit = np.arange(_G17_WIDTH)[_G17_DIGIT]
+    keep = np.zeros((23, 17, 2, _G17_WIDTH), dtype=bool)
+    for cls in range(23):
+        for nsig in range(1, 18):
+            row = keep[cls, nsig - 1, 0]
+            if cls < 4:  # 0.000ddd: "0.", then -k - 1 zeros
+                row[1:6 - cls] = True
+                row[digit[:nsig]] = True
+            elif cls < 21:  # ddd.ddd: k + 1 integer digits, then a "." if more follow
+                whole = cls - 3
+                row[digit[:max(whole, nsig)]] = True
+                row[digit[whole - 1] + 1] = nsig > whole
+            else:  # d.ddde+dd
+                row[digit[:nsig]] = True
+                row[digit[0] + 1] = nsig > 1
+                row[_G17_EXP:_G17_EXP + 5] = True
+                row[_G17_EXP + 2] = cls == 22
+            row[_G17_SEP] = True
+    keep[:, :, 1] = keep[:, :, 0]
+    keep[:, :, 1, 0] = True  # the "-" of a negative value
+    keep = np.where(keep, 0xFF, 0).astype(np.uint8).reshape(-1, _G17_WIDTH)
+    tables = (layout, exponent, template, keep)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _g17_scaled(a, k, hi, hi_h, hi_l, lo):
+    """`a * 10**(16 - k)` as an unevaluated sum p + e (tables indexed by
+    k): Dekker's exact product of `a` and the power's high part, plus `a`
+    times its low part. The sum is within about 1e-14 of the true value."""
+    i = k + _G17_KMAX
+    b, b_h, b_l = np.take(hi, i), np.take(hi_h, i), np.take(hi_l, i)
+    c = _G17_SPLIT * a
+    a_h = c - (c - a)
+    a_l = a - a_h
+    p = a * b
+    return p, ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l + a * np.take(lo, i)
+
+
+def _g17_decimal(v):
+    """(D, k, certified) for float64 `v`: |v| rounded half-even to 17
+    significant digits is D * 10**(k - 16) with 10**16 <= D < 10**17, or
+    D = k = 0 for a zero. `certified` is False where D may be wrong: |v|
+    outside _G17_RANGE, or a fraction too near a rounding tie."""
+    power = _g17_powers()
+    a = np.abs(v)
+    certified = (a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1])
+    a = np.where(certified, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p, e = _g17_scaled(a, k, *power)
+    # log10 can miss by one near a power of ten: test the unrounded sum,
+    # since it may round to 10**16 from below (1e-7 does)
+    low, high = (p - 1e16) + e < 0, (p - 1e17) + e >= 0
+    miss = np.flatnonzero(low | high)
+    if miss.size:
+        k[miss] += high[miss].astype(np.int64) - low[miss]
+        p[miss], e[miss] = _g17_scaled(a[miss], k[miss], *power)
+    # p >= 2**53 is a whole number, so rounding e rounds the sum
+    whole = np.rint(e)
+    certified &= np.abs(np.abs(e - whole) - 0.5) >= _G17_TIE
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    certified &= (d >= 10**16) & (d < 10**17)
+    zero = v == 0
+    d[zero] = k[zero] = 0
+    return d, k, certified | zero
+
+
+def _g17_digits(d):
+    """The 17 decimal digits of each D in `d` (below 10**17), most
+    significant first, as a (17, n) uint8 array. Each half of D below
+    10**9 is exact in float64, and trunc((h + 0.5) * 10**-j) is
+    floor(h / 10**j) despite the rounded power of ten."""
+    halves = np.empty((2, 1, d.size))
+    halves[0, 0] = d // 10**9
+    halves[1, 0] = d - halves[0, 0].astype(np.int64) * 10**9
+    prefix = np.empty((2, 10, d.size), dtype=np.int32)
+    np.multiply(halves + 0.5, 10.0 ** np.arange(-9, 1)[:, None], out=prefix, casting="unsafe")
+    digits = np.empty((2, 9, d.size), dtype=np.uint8)
+    np.subtract(prefix[:, 1:], 10 * prefix[:, :-1], out=digits, casting="unsafe")
+    return digits.reshape(18, -1)[1:]  # the high half has 8 digits
+
+
+def _g17_rows(block) -> bytes:
+    """CSV text of the float64 rows `block` (m, d): each value the bytes
+    of `"%.17g" % v`, joined by "," and each row ended by a newline."""
+    layout, exponent, template, keep = _g17_layout()
+    m, dim = block.shape
+    v = np.ascontiguousarray(block).ravel()
+    if not v.size:
+        return b"\n" * m
+    d, k, certified = _g17_decimal(v)
+    digits = _g17_digits(d)
+    nsig = np.maximum(((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0), 1)
+    field = np.empty((m, dim, _G17_WIDTH), dtype=np.uint8)
+    field[...] = template
+    field[:, -1, _G17_SEP] = ord("\n")
+    field = field.reshape(v.size, _G17_WIDTH)
+    field[:, _G17_DIGIT] = (digits + ord("0")).T
+    i = k + _G17_KMAX
+    field.view(np.uint32)[:, (_G17_EXP + 1) // 4] = np.take(exponent, i)
+    mask = np.take(keep, (np.take(layout, i) * 17 + nsig - 1) * 2 + np.signbit(v), axis=0)
+    for j in np.flatnonzero(~certified).tolist():
+        text = b"%.17g" % v[j]
+        field[j, :len(text)] = np.frombuffer(text, np.uint8)
+        mask[j, :_G17_SEP] = 0
+        mask[j, :len(text)] = 0xFF
+    field &= mask
+    return field.tobytes().translate(None, b"\0")
+
+
 def export_dataset_csv(data: LabeledDataset, path) -> None:
     """One row per (item, channel); channels of an item are adjacent.
 
-    Values are `%.17g`, one `%` call per row; no field ever needs quoting.
-    A non-finite value raises `ValueError` before the file is opened.
+    Each value is written as the exact bytes of `"%.17g" % v`, so ingest
+    reads back the same double; no field ever needs quoting. A numpy
+    kernel formats blocks of about _G17_CHUNK values: the 17 digits come
+    from a double-double product with an exact power-of-ten table and the
+    `%g` layout from byte masks, and a value it cannot certify (|v|
+    outside 1e-250..1e250, or too near a rounding tie) goes through `%`.
+    A non-finite value raises `ValueError` before any file is opened. The
+    bytes go to a temporary file beside `path` that then replaces it, so
+    a failed export leaves any earlier file at `path` as it was.
     """
-    bad = np.argwhere(~np.isfinite(data.inputs))
-    if bad.size:
-        raise ValueError(f"item {bad[0, 0]} channel {bad[0, 1]} holds a non-finite value")
+    if not np.isfinite(data.inputs).all():
+        bad = np.argwhere(~np.isfinite(data.inputs))[0]
+        raise ValueError(f"item {bad[0]} channel {bad[1]} holds a non-finite value")
     header = ["item_id", "subject_id", "label", "channel"]
     header += [f"v{j}" for j in range(data.tf_dim)]
-    values = ",".join(["%.17g"] * data.tf_dim) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(data.n_items):
-            subject = "" if data.subject_ids is None else int(data.subject_ids[i])
-            for c in range(data.n_channels):
-                row = tuple(data.inputs[i, c].tolist())
-                fh.write(f"{i},{subject},{data.labels[i]},{c}," + values % row)
+    labels = data.labels.tolist()
+    subjects = [""] * data.n_items if data.subject_ids is None else data.subject_ids.tolist()
+    per_chunk = max(1, _G17_CHUNK // max(1, data.n_channels * data.tf_dim))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for start in range(0, data.n_items, per_chunk):
+                block = data.inputs[start:start + per_chunk]
+                rows = block.reshape(len(block) * data.n_channels, data.tf_dim)
+                lines = _g17_rows(rows).split(b"\n")
+                heads = (f"{i},{subjects[i]},{labels[i]},{c},".encode()
+                         for i in range(start, start + len(block))
+                         for c in range(data.n_channels))
+                fh.write(b"".join(h + line + b"\n" for h, line in zip(heads, lines)))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the move failed
+            os.remove(tmp)
 
 
 def _check_records(records, n_fields=None):

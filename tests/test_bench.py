@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -815,6 +816,95 @@ def test_export_bytes_match_field_by_field_writer(tmp_path):
         back = bench.ingest_dataset_csv(got)
         assert np.array_equal(back.inputs, data.inputs)
         assert np.array_equal(np.signbit(back.inputs), np.signbit(data.inputs))  # -0.0
+
+
+def g17_lines(values):
+    """The export kernel's text for `values`, one value a row, as a list."""
+    values = np.asarray(values, dtype=np.float64)
+    lines = []
+    for start in range(0, values.size, bench._G17_CHUNK):
+        block = values[start:start + bench._G17_CHUNK, None]
+        lines += bench._g17_rows(block).split(b"\n")[:-1]
+    return lines
+
+
+def test_g17_kernel_matches_percent_format():
+    rng = np.random.default_rng(20231)
+    n = 1_000_000
+    # every biased exponent below the inf/nan one, both signs, random mantissas
+    bits = ((rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+            | (np.arange(n, dtype=np.uint64) % np.uint64(2047) << np.uint64(52))
+            | rng.integers(0, 1 << 52, n, dtype=np.uint64))
+    values = bits.view(np.float64)
+    assert np.isfinite(values).all() and np.signbit(values).any() and not np.signbit(values).all()
+    assert g17_lines(values) == [b"%.17g" % v for v in values.tolist()]
+
+    tie, subnormal = 1234567890123456.75, 5e-324
+    edge = [0.0, -0.0, subnormal, np.finfo(float).tiny, 1e-300, 1e300, np.finfo(float).max,
+            1e-7, 9.999999999999999e16, 2.0**53 - 2, 2.0**53 + 2, tie, 0.5]
+    for e in range(-5, 23):
+        power = float(f"1e{e}")
+        edge += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    edge = np.array(edge + [-v for v in edge])
+    assert g17_lines(edge) == [b"%.17g" % v for v in edge.tolist()]
+    # both paths are under test: the tie and the subnormal go through `%`,
+    # most of the list through the fast path
+    _, _, certified = bench._g17_decimal(edge)
+    assert not certified[edge == tie].any() and not certified[edge == subnormal].any()
+    assert certified[(edge == 0.5) | (edge == 1e-7) | (edge == 0.0)].all()
+    assert certified.mean() > 0.8
+
+
+def test_export_chunk_boundaries_and_memory(tmp_path):
+    rng = np.random.default_rng(7)
+    for tf_dim in (1, 7, 1024):
+        chunk = bench._G17_CHUNK // tf_dim
+        for n_items in (chunk - 1, chunk, chunk + 1):
+            data = toy_dataset(n_items=n_items, tf_dim=tf_dim, seed=tf_dim, n_subjects=3)
+            data.inputs *= 10.0 ** rng.uniform(-8, 20, data.inputs.shape)
+            data.inputs.ravel()[::97] = 0.0
+            data.inputs.ravel()[1::89] = -0.0
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            bench.export_dataset_csv(data, got)
+            reference_export(data, want)
+            assert got.read_bytes() == want.read_bytes(), (tf_dim, n_items)
+
+    # the kernel works a block at a time: its peak is far below the input's size
+    data = toy_dataset(n_items=2000, tf_dim=1024)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        bench.export_dataset_csv(data, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.inputs.nbytes / 4, (peak, data.inputs.nbytes)
+    assert np.array_equal(bench.ingest_dataset_csv(path).inputs, data.inputs)
+
+
+def test_export_replaces_the_target_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"earlier file\n")
+    data = toy_dataset(n_items=20, tf_dim=1024)  # three blocks of 8 items
+    kernel, calls = bench._g17_rows, []
+
+    def failing_after_first_block(block):
+        calls.append(len(block))
+        if len(calls) > 1:
+            raise OSError("disk full")
+        return kernel(block)
+
+    monkeypatch.setattr(bench, "_g17_rows", failing_after_first_block)
+    with pytest.raises(OSError, match="disk full"):
+        bench.export_dataset_csv(data, path)
+    assert calls == [8, 8]
+    assert path.read_bytes() == b"earlier file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    monkeypatch.setattr(bench, "_g17_rows", kernel)
+    bench.export_dataset_csv(data, path)
+    assert np.array_equal(bench.ingest_dataset_csv(path).inputs, data.inputs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 def test_ingest_reads_quoted_fields(tmp_path):
