@@ -213,7 +213,8 @@ def make_multi_feature_task(
 # made for a block of rows at a time by the numpy kernel below: exact
 # decimal digits from a double-double product, then the `%g` layout by
 # byte masks. Values it cannot certify go through `%` one at a time.
-_G17_CHUNK = 8192  # values per block; bounds the kernel's memory
+_G17_CHUNK = 8192  # values per block: bounds the kernel's memory, and 4-32 rows of
+# 1,024 values ran alike where one 240-row block took twice as long
 _G17_RANGE = (1e-250, 1e250)  # |v| whose scaled product neither overflows nor underflows
 _G17_TIE = 1e-6  # a fraction this near 1/2 may be a tie: the product's error is ~1e-14
 _G17_SPLIT = 134217729.0  # 2**27 + 1, Dekker's split of a double into two halves
