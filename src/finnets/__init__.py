@@ -55,7 +55,6 @@ from .signals import (
     gen_spec_digest,
     generate,
     scalograms,
-    standardize,
     wavelet_transform,
 )
 

@@ -16,7 +16,6 @@ indices; test items reach a fitted predictor only at final evaluation.
 
 import csv
 import functools
-import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -58,7 +57,8 @@ MARGIN_REG = 1e-4
 class LabeledDataset:
     """Classification items: per-channel flattened scalograms plus labels.
 
-    Inputs must be finite (`ValueError` otherwise).
+    Inputs must be finite (`ValueError` otherwise) and hold at least one
+    channel of at least one value (`ShapeError` otherwise).
 
     `oracle_scores`/`oracle_threshold` carry the latent rule behind
     synthetic tasks so the harness can self-test its evaluation path; they
@@ -76,8 +76,8 @@ class LabeledDataset:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 3:
-            raise ShapeError("inputs must be (n_items, n_channels, tf_dim)")
+        if self.inputs.ndim != 3 or 0 in self.inputs.shape[1:]:
+            raise ShapeError("inputs must be (n_items, n_channels >= 1, tf_dim >= 1)")
         if not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs must be finite")
         n = self.inputs.shape[0]
@@ -378,9 +378,8 @@ def export_dataset_csv(data: LabeledDataset, path) -> None:
     from a double-double product with an exact power-of-ten table and the
     `%g` layout from byte masks, and a value it cannot certify (|v|
     outside 1e-250..1e250, or too near a rounding tie) goes through `%`.
-    A non-finite value raises `ValueError` before any file is opened. The
-    bytes go to a temporary file beside `path` that then replaces it, so
-    a failed export leaves any earlier file at `path` as it was.
+    A non-finite value raises `ValueError` before any file is opened, and a
+    failed export leaves any earlier file at `path` intact (`engine._replacing`).
     """
     if not np.isfinite(data.inputs).all():
         bad = np.argwhere(~np.isfinite(data.inputs))[0]
@@ -389,23 +388,17 @@ def export_dataset_csv(data: LabeledDataset, path) -> None:
     header += [f"v{j}" for j in range(data.tf_dim)]
     labels = data.labels.tolist()
     subjects = [""] * data.n_items if data.subject_ids is None else data.subject_ids.tolist()
-    per_chunk = max(1, _G17_CHUNK // max(1, data.n_channels * data.tf_dim))
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for start in range(0, data.n_items, per_chunk):
-                block = data.inputs[start:start + per_chunk]
-                rows = block.reshape(len(block) * data.n_channels, data.tf_dim)
-                lines = _g17_rows(rows).split(b"\n")
-                heads = (f"{i},{subjects[i]},{labels[i]},{c},".encode()
-                         for i in range(start, start + len(block))
-                         for c in range(data.n_channels))
-                fh.write(b"".join(h + line + b"\n" for h, line in zip(heads, lines)))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write or the move failed
-            os.remove(tmp)
+    per_chunk = max(1, _G17_CHUNK // (data.n_channels * data.tf_dim))
+    with en._replacing(path) as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, data.n_items, per_chunk):
+            block = data.inputs[start:start + per_chunk]
+            rows = block.reshape(len(block) * data.n_channels, data.tf_dim)
+            lines = _g17_rows(rows).split(b"\n")
+            heads = (f"{i},{subjects[i]},{labels[i]},{c},".encode()
+                     for i in range(start, start + len(block))
+                     for c in range(data.n_channels))
+            fh.write(b"".join(h + line + b"\n" for h, line in zip(heads, lines)))
 
 
 def _check_records(records, n_fields=None):

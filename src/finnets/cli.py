@@ -174,10 +174,8 @@ def cmd_pretrain(args) -> int:
         raise OSError(f"cannot write artifact: {exc}") from exc
 
     # fresh signals, disjoint from the pretraining corpus by index
-    recon_sigs = (
-        sg.generate(gen, args.signals + i) for i in range(args.recon_signals)
-    )
-    rep = en.reconstruction_report(artifact, recon_sigs)
+    recon = sg.generate_rows(gen, range(args.signals, args.signals + args.recon_signals))
+    rep = en.reconstruction_report(artifact, [fe.Signal(x, gen.sample_rate) for x in recon])
     edges = rep.histogram_edges
     rp.write_csv(os.path.join(out_dir, "recon_hist.csv"), ["bin_lo", "bin_hi", "count"], (
         [_fmt(lo), _fmt(hi), int(count)]

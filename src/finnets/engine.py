@@ -15,6 +15,7 @@ ensemble therefore still differs from `attach_head`, which consumes the
 penultimate representation instead of the imitated feature.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -102,9 +103,7 @@ def corpus_samples(gen: sg.GenSpec, n_signals: int) -> np.ndarray:
     memo_key, samples = _last_corpus
     if memo_key == key:
         return samples
-    samples = np.empty((n_signals, gen.length))
-    for i in range(n_signals):
-        samples[i] = sg.generate(gen, i).samples
+    samples = sg.generate_rows(gen, range(n_signals))
     samples.setflags(write=False)
     _last_corpus = (key, samples)
     return samples
@@ -219,11 +218,25 @@ def _fin_digest(header: dict, payload: bytes) -> str:
     return hashlib.sha256(_canonical_json(header).encode("ascii") + payload).hexdigest()
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Binary file for writing, opened at a temporary path beside `path`
+    that replaces `path` when the block ends. A failed write or move
+    removes the temporary and leaves any earlier file at `path` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the move failed
+            os.remove(tmp)
+
+
 def save_fin(artifact: FinArtifact, path) -> None:
     """Write format v2: the canonical JSON header line, then the net's
-    parameter buffer as little-endian float32 in memory order. The bytes
-    go to a temporary file beside `path` that then replaces it, so a
-    failed write leaves any earlier file at `path` as it was."""
+    parameter buffer as little-endian float32 in memory order, through
+    `_replacing`, so a failed write leaves any earlier file at `path` intact."""
     header = {
         "format_version": FORMAT_VERSION,
         "feature": artifact.feature,
@@ -241,15 +254,9 @@ def save_fin(artifact: FinArtifact, path) -> None:
     }
     payload = artifact.net.buffer.astype("<f4", copy=False).tobytes()
     header["sha256"] = _fin_digest(header, payload)
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_canonical_json(header).encode("ascii"))
-            fh.write(payload)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write or the move failed
-            os.remove(tmp)
+    with _replacing(path) as fh:
+        fh.write(_canonical_json(header).encode("ascii"))
+        fh.write(payload)
 
 
 def _json_typed(value, types, field: str):
@@ -556,8 +563,6 @@ class ReconstructionReport:
 
     n_signals: int
     mean_abs_error: float
-    std_abs_error: float
-    percentiles: dict
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
     mse: float
@@ -597,13 +602,9 @@ def reconstruction_report(artifact: FinArtifact, test_signals) -> Reconstruction
     mse = float(np.mean((preds - targets) ** 2))
     abs_err = np.abs(np.clip(preds, 0.0, 1.0) - targets).mean(axis=1)
     counts, edges = np.histogram(abs_err, bins=50, range=(0.0, 1.0))
-    qs = (5, 25, 50, 75, 95)
-    pct = {f"p{q}": float(v) for q, v in zip(qs, np.percentile(abs_err, qs))}
     return ReconstructionReport(
         n_signals=len(abs_err),
         mean_abs_error=float(abs_err.mean()),
-        std_abs_error=float(abs_err.std(ddof=1)) if len(abs_err) > 1 else 0.0,
-        percentiles=pct,
         histogram_counts=counts,
         histogram_edges=edges,
         mse=mse,

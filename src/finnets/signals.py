@@ -6,7 +6,9 @@ function of (seed, index) drawn from a mixture of generator families
 envelopes) chosen to spread every imitated feature across its range, then
 standardized to zero mean and unit variance. Networks never see the raw
 waveform; they see the flattened magnitude of a complex Morlet wavelet
-transform, mean-pooled to a fixed scales-by-frames grid.
+transform, mean-pooled to a fixed scales-by-frames grid. Both stages are
+batched, `generate_rows` and `scalograms`; `generate` and
+`wavelet_transform` are their one-row calls.
 """
 
 import concurrent.futures
@@ -86,16 +88,6 @@ class GenSpec:
         }
 
 
-def standardize(signal: Signal) -> Signal:
-    """Affine map to zero mean, unit population variance."""
-    x = signal.samples
-    mean = x.mean()
-    std = x.std()
-    if std == 0.0:
-        raise DegenerateSignal("cannot standardize a constant signal")
-    return Signal((x - mean) / std, signal.sample_rate)
-
-
 def _tone_top(fs):
     """Highest frequency a generated tone may have at sample rate fs."""
     return _TONE_FRACTION * fs / 4.0
@@ -165,25 +157,41 @@ _FAMILY_FUNCS = {
 }
 
 
-def generate(spec: GenSpec, index: int) -> Signal:
-    """Deterministically generate the index-th signal of a corpus.
+def generate_rows(spec: GenSpec, indices) -> np.ndarray:
+    """Corpus signals `indices` as a (len(indices), spec.length) array.
 
-    The family is chosen by a uniform draw against the cumulative family
-    weights; all randomness comes from a PCG64 stream keyed on
-    (spec.seed, index), so any subset of a corpus can be produced
-    independently and bit-identically.
+    Row k draws its family against the cumulative family weights from a
+    PCG64 stream keyed on (spec.seed, indices[k]), so any subset of a
+    corpus, in any order, is bit-identical, and is then standardized to
+    zero mean and unit population variance. A non-finite row raises
+    `ValueError` and a constant one `DegenerateSignal`, each naming k.
     """
-    rng = rng_for(spec.seed, "signal", index)
-    u = rng.random()
-    cumulative = 0.0
-    family = GENERATOR_FAMILIES[-1]
-    for name in GENERATOR_FAMILIES:
-        cumulative += spec.family_weights[name]
-        if u < cumulative:
-            family = name
-            break
-    raw = _FAMILY_FUNCS[family](rng, spec.length, spec.sample_rate)
-    return standardize(Signal(raw, spec.sample_rate))
+    rows = np.empty((len(indices), spec.length))
+    for k, index in enumerate(indices):
+        rng = rng_for(spec.seed, "signal", index)
+        u = rng.random()
+        cumulative = 0.0
+        family = GENERATOR_FAMILIES[-1]
+        for name in GENERATOR_FAMILIES:
+            cumulative += spec.family_weights[name]
+            if u < cumulative:
+                family = name
+                break
+        rows[k] = _FAMILY_FUNCS[family](rng, spec.length, spec.sample_rate)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))}: samples must be finite")
+    std = rows.std(axis=1, keepdims=True)
+    if not std.all():
+        raise DegenerateSignal("cannot standardize a constant signal", int(np.argmin(std)))
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows /= std
+    return rows
+
+
+def generate(spec: GenSpec, index: int) -> Signal:
+    """The index-th signal of a corpus: the one-row call of `generate_rows`."""
+    return Signal(generate_rows(spec, [index])[0], spec.sample_rate)
 
 
 def morlet_center_frequencies(sample_rate: float) -> np.ndarray:

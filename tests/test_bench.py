@@ -70,6 +70,22 @@ def test_dataset_validation_errors():
     bench.LabeledDataset(good, labels, 2)  # the clean control
 
 
+def test_dataset_refuses_zero_channels_or_values(tmp_path):
+    # such a dataset would export a CSV that ingest refuses
+    labels = np.array([0, 1, 0, 1])
+    for shape in ((4, 1, 0), (4, 0, 3)):
+        with pytest.raises(ShapeError, match="n_channels >= 1"):
+            bench.LabeledDataset(np.zeros(shape), labels, 2)
+    # control: the smallest accepted shape exports and ingests back exactly
+    data = bench.LabeledDataset(np.array([0.5, -1.25, 3.0, 1e-300]).reshape(4, 1, 1),
+                                labels, 2)
+    path = tmp_path / "one.csv"
+    bench.export_dataset_csv(data, path)
+    back = bench.ingest_dataset_csv(path)
+    assert np.array_equal(back.inputs, data.inputs)
+    assert np.array_equal(back.labels, data.labels)
+
+
 def test_dataset_properties():
     data = toy_dataset(n_items=10, n_channels=3, tf_dim=5)
     assert (data.n_items, data.n_channels, data.tf_dim) == (10, 3, 5)

@@ -184,7 +184,6 @@ def test_reconstruction_mse_matches_training_val_loss(tiny_artifact):
         tiny_artifact.history_summary["best_val_loss"], abs=1e-6
     )
     assert report.n_signals == len(val_signals)
-    assert 0.0 <= report.percentiles["p5"] <= report.percentiles["p95"] <= 1.0
     assert report.histogram_counts.sum() == report.n_signals
 
 

@@ -39,9 +39,67 @@ def test_generated_signals_are_standardized():
         assert x.size == spec.length
 
 
-def test_standardize_rejects_constant():
-    with pytest.raises(DegenerateSignal):
-        sg.standardize(Signal(np.full(64, 2.0), 128.0))
+def reference_signal(spec, index):
+    """(family, samples) of one corpus signal by the per-signal path that
+    `generate_rows` replaced: family draw, a checked `Signal`, then
+    (x - mean) / std."""
+    rng = rng_for(spec.seed, "signal", index)
+    u = rng.random()
+    cumulative = 0.0
+    family = sg.GENERATOR_FAMILIES[-1]
+    for name in sg.GENERATOR_FAMILIES:
+        cumulative += spec.family_weights[name]
+        if u < cumulative:
+            family = name
+            break
+    raw = sg._FAMILY_FUNCS[family](rng, spec.length, spec.sample_rate)
+    x = Signal(raw, spec.sample_rate).samples
+    return family, (x - x.mean()) / x.std()
+
+
+def test_generate_rows_matches_the_per_signal_reference():
+    # gaps, a reversed run and a repeat
+    indices = [5, 0, 999, 3, 3, 42] + list(range(60, 40, -1))
+    for length, fs in ((64, 128.0), (300, 50.0)):
+        for seed in (0, 1, 7):
+            spec = sg.GenSpec(length=length, sample_rate=fs, seed=seed)
+            families, want = zip(*(reference_signal(spec, i) for i in indices))
+            assert set(families) == set(sg.GENERATOR_FAMILIES)
+            rows = sg.generate_rows(spec, indices)
+            assert rows.shape == (len(indices), length) and rows.dtype == np.float64
+            assert rows.tobytes() == np.stack(want).tobytes()
+            for i in (0, 42):
+                assert sg.generate(spec, i).samples.tobytes() == \
+                    sg.generate_rows(spec, [i])[0].tobytes()
+
+
+def patched_third_row(monkeypatch, value):
+    """Make every generated signal white noise except the third, which is
+    all `value`."""
+    calls = []
+
+    def third_is_constant(rng, n, fs):
+        calls.append(n)
+        return np.full(n, value) if len(calls) == 3 else rng.standard_normal(n)
+
+    monkeypatch.setitem(sg._FAMILY_FUNCS, "white_noise", third_is_constant)
+    return sg.GenSpec(length=64, family_weights={"white_noise": 1.0})
+
+
+def test_generate_rows_names_a_constant_row(monkeypatch):
+    spec = patched_third_row(monkeypatch, 2.0)
+    with pytest.raises(DegenerateSignal, match="row 2: cannot standardize") as info:
+        sg.generate_rows(spec, [10, 11, 12, 13])
+    assert info.value.row == 2
+    monkeypatch.undo()  # control: the same rows unpatched
+    assert np.all(np.isfinite(sg.generate_rows(spec, [10, 11, 12, 13])))
+
+
+def test_generate_rows_names_a_non_finite_row(monkeypatch):
+    spec = patched_third_row(monkeypatch, np.nan)
+    with pytest.raises(ValueError, match="row 2: samples must be finite") as info:
+        sg.generate_rows(spec, [10, 11, 12, 13])
+    assert not isinstance(info.value, DegenerateSignal)
 
 
 def test_gen_spec_validation():
