@@ -401,6 +401,16 @@ def export_dataset_csv(data: LabeledDataset, path) -> None:
             fh.write(b"".join(h + line + b"\n" for h, line in zip(heads, lines)))
 
 
+def _csv_number(text: str, kind=float):
+    """`kind(text)` under numpy's number rule, for every CSV field read
+    here: whitespace around it is dropped, but an underscore or a
+    non-ASCII character, which `int` and `float` may take, is a `ValueError`."""
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} holds an underscore or a non-ASCII character")
+    return kind(text)
+
+
 def _check_records(records, n_fields=None):
     """Per-record checks in file order over (row, fields, values finite);
     a `csv.reader` row comes with `finite` None and is measured and parsed
@@ -411,12 +421,9 @@ def _check_records(records, n_fields=None):
             raise IngestError(row_no, f"expected {n_fields} fields, got {len(row)}")
         item_id, subject, label_s, channel_s = row[:4]
         try:
-            label, channel = int(label_s), int(channel_s)
-            if finite is None:  # numpy's reader takes ASCII numbers without underscores
-                values = [v.strip() for v in row[4:]]
-                finite = np.isfinite([float(v) for v in values]).all()
-                if any("_" in v or not v.isascii() for v in values):
-                    raise ValueError("a number holds an underscore or a non-ASCII character")
+            label, channel = _csv_number(label_s, int), _csv_number(channel_s, int)
+            if finite is None:
+                finite = np.isfinite([_csv_number(v) for v in row[4:]]).all()
         except ValueError as exc:
             raise IngestError(row_no, f"bad numeric field: {exc}") from None
         if not finite:
@@ -492,7 +499,7 @@ def ingest_dataset_csv(path) -> LabeledDataset:
             raise IngestError(first, f"item {item_id} mixes empty and non-empty subject_id")
         if not subjects_empty:
             try:
-                subjects.append(int(subject))
+                subjects.append(_csv_number(subject, int))
             except ValueError:
                 raise IngestError(first, f"item {item_id} has non-integer subject_id") from None
     labels = np.array([item[2] for item in items], dtype=np.int64)

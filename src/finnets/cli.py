@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedVersion,
 )
 from .report import _fmt
-from .rng import derive_seed
+from .rng import derive_seed, rng_for
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -373,8 +373,7 @@ def cmd_gradcheck(args) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
-def _demo_signal(kind: str) -> fe.Signal:
-    fs = sg.DEFAULT_SAMPLE_RATE
+def _demo_signal(kind: str, fs: float) -> fe.Signal:
     n = sg.DEFAULT_LENGTH
     if kind == "constant":
         return fe.Signal(np.ones(n), fs)
@@ -386,8 +385,6 @@ def _demo_signal(kind: str) -> fe.Signal:
         t = np.arange(n) / fs
         return fe.Signal(np.sin(2 * np.pi * freq * t), fs)
     if kind == "noise":
-        from .rng import rng_for
-
         return fe.Signal(rng_for(0, "oracle-demo").standard_normal(n), fs)
     raise CliError(f"bad demo signal {kind!r}; use constant, noise, or <f>hz-sine")
 
@@ -405,7 +402,7 @@ def _read_signals_csv(path, sample_rate: float):
             raise IngestError(1, "signal CSV must start with an index column")
         for row_no, row in enumerate(reader, start=2):
             try:
-                values = np.array([float(v) for v in row[1:]])
+                values = np.array([B._csv_number(v) for v in row[1:]])
             except ValueError as exc:
                 raise IngestError(row_no, f"bad sample value: {exc}") from None
             if values.size < 2:
@@ -447,8 +444,10 @@ def cmd_oracle(args) -> int:
         raise CliError(f"--feature must be one of {', '.join(fe.FEATURE_NAMES)}")
     if (args.demo is None) == (args.signals_csv is None):
         raise CliError("provide exactly one of --demo or --signals-csv")
+    if not args.sample_rate > 0:  # NaN included
+        raise CliError(f"--sample-rate must be positive, got {args.sample_rate}")
     if args.demo is not None:
-        signals, first_row = [_demo_signal(args.demo)], None
+        signals, first_row = [_demo_signal(args.demo, args.sample_rate)], None
     else:
         # the header is row 1
         signals, first_row = _read_signals_csv(args.signals_csv, args.sample_rate), 2

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class FinArtifact:
             raise ShapeError("normalization vectors must match the output dim")
         if not np.all(hi > lo):
             raise ValueError("norm_hi must exceed norm_lo elementwise")
+        digest = self.gen_spec_digest
+        if not (isinstance(digest, str) and len(digest) == 64
+                and all(c in "0123456789abcdef" for c in digest)):
+            raise ValueError("gen_spec_digest must be a 64-char hex string")
         object.__setattr__(self, "norm_lo", lo)
         object.__setattr__(self, "norm_hi", hi)
 
@@ -233,25 +237,32 @@ def _replacing(path):
             os.remove(tmp)
 
 
+def _fin_header(fields) -> dict:
+    """The `.fin` header document without `sha256`, from `fields`, which
+    maps its top-level names to values (`topology` a `Topology`): the one
+    statement of the header's fields and of the JSON type of each."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "feature": fields["feature"],
+        "topology": {
+            "layer_sizes": list(fields["topology"].layer_sizes),
+            "activations": list(fields["topology"].activations),
+        },
+        "norm_lo": [float(v) for v in fields["norm_lo"]],
+        "norm_hi": [float(v) for v in fields["norm_hi"]],
+        "gen_spec_digest": fields["gen_spec_digest"],
+        "history_summary": {
+            "best_val_loss": float(fields["history_summary"]["best_val_loss"]),
+            "epochs": int(fields["history_summary"]["epochs"]),
+        },
+    }
+
+
 def save_fin(artifact: FinArtifact, path) -> None:
     """Write format v2: the canonical JSON header line, then the net's
     parameter buffer as little-endian float32 in memory order, through
     `_replacing`, so a failed write leaves any earlier file at `path` intact."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "feature": artifact.feature,
-        "topology": {
-            "layer_sizes": list(artifact.net.topology.layer_sizes),
-            "activations": list(artifact.net.topology.activations),
-        },
-        "norm_lo": [float(v) for v in artifact.norm_lo],
-        "norm_hi": [float(v) for v in artifact.norm_hi],
-        "gen_spec_digest": artifact.gen_spec_digest,
-        "history_summary": {
-            "best_val_loss": float(artifact.history_summary["best_val_loss"]),
-            "epochs": int(artifact.history_summary["epochs"]),
-        },
-    }
+    header = _fin_header({**vars(artifact), "topology": artifact.net.topology})
     payload = artifact.net.buffer.astype("<f4", copy=False).tobytes()
     header["sha256"] = _fin_digest(header, payload)
     with _replacing(path) as fh:
@@ -259,16 +270,26 @@ def save_fin(artifact: FinArtifact, path) -> None:
         fh.write(payload)
 
 
-def _json_typed(value, types, field: str):
-    """`value` if its JSON type is one of `types`; a bool is never a number."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise CorruptArtifact(f"{field} has the wrong JSON type: {value!r}")
-    return value
+def _differing_field(built: dict, found: dict, prefix=""):
+    """Dotted name of the first key, in sorted order, that only one of
+    `built` and `found` holds, or that they hold with another value or
+    JSON type; None if there is none."""
+    for key in sorted(built.keys() | found.keys()):
+        mine, theirs = built.get(key), found.get(key)
+        if isinstance(mine, dict) and isinstance(theirs, dict):
+            if name := _differing_field(mine, theirs, f"{prefix}{key}."):
+                return name
+        elif key not in built or key not in found or json.dumps(mine) != json.dumps(theirs):
+            return prefix + key
+    return None
 
 
 def load_fin(path) -> FinArtifact:
-    """Read a `.fin` file, validating version, digest, field types, finite
-    numbers, shapes, and payload size."""
+    """Read a `.fin` file, which loads only as `save_fin` writes it: past
+    the version and digest checks, line 1 must be the canonical JSON of
+    the header that `_fin_header` rebuilds from the parsed fields, so
+    every field has the value and JSON type `save_fin` gives it. Then the
+    payload size and the artifact's own value checks apply."""
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
@@ -279,53 +300,32 @@ def load_fin(path) -> FinArtifact:
     if not isinstance(doc, dict):
         raise CorruptArtifact("artifact header must be an object")
     version = doc.get("format_version")
-    if version is not None:
-        _json_typed(version, int, "format_version")
+    if version is not None and type(version) is not int:  # true and 1.0 are not 1
+        raise CorruptArtifact(f"format_version has the wrong JSON type: {version!r}")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"format_version {version!r} is not supported;"
                                  f" re-run `fin pretrain` to write version {FORMAT_VERSION}")
     sha256 = doc.pop("sha256", None)
     if sha256 != _fin_digest(doc, payload):
         raise CorruptArtifact("sha256 is missing or does not match the header and payload")
-    number = (int, float)
     try:
-        topology = doc["topology"]
-        topo = Topology(
-            tuple(_json_typed(s, int, "layer_sizes") for s in topology["layer_sizes"]),
-            tuple(topology["activations"]),
-        )
-        feature = doc["feature"]
-        norm_lo, norm_hi = (
-            np.array([_json_typed(v, number, key) for v in doc[key]], dtype=np.float64)
-            for key in ("norm_lo", "norm_hi")
-        )
-        digest = doc["gen_spec_digest"]
-        hist = doc["history_summary"]
-        best = _json_typed(hist["best_val_loss"], number, "best_val_loss")
-        summary = {
-            "best_val_loss": float(best),
-            "epochs": _json_typed(hist["epochs"], int, "epochs"),
-        }
+        topology = Topology(doc["topology"]["layer_sizes"], doc["topology"]["activations"])
+        header = _fin_header({**doc, "topology": topology})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"malformed artifact field: {exc}") from exc
-    if not (isinstance(digest, str) and len(digest) == 64
-            and all(c in "0123456789abcdef" for c in digest)):
-        raise CorruptArtifact("gen_spec_digest must be a 64-char hex string")
+    if line != _canonical_json({**header, "sha256": sha256}).encode("ascii"):
+        name = _differing_field(header, doc)
+        raise CorruptArtifact(f"header field {name} is unknown or of the wrong JSON type" if name
+                              else "the header line is not the canonical JSON of its document")
 
-    expected = 4 * nets.count_params(topo)
+    expected = 4 * nets.count_params(topology)
     if len(payload) != expected:
         raise CorruptArtifact(f"weight payload holds {len(payload)} bytes, expected {expected}")
-    weights, biases = nets.layer_views(topo, np.frombuffer(payload, dtype="<f4"))
+    weights, biases = nets.layer_views(topology, np.frombuffer(payload, dtype="<f4"))
     try:
-        return FinArtifact(
-            feature=feature,
-            net=DenseNet(topo, weights, biases),
-            norm_lo=norm_lo,
-            norm_hi=norm_hi,
-            gen_spec_digest=digest,
-            history_summary=summary,
-            sha256=sha256,
-        )
+        return FinArtifact(header["feature"], DenseNet(topology, weights, biases),
+                           header["norm_lo"], header["norm_hi"], header["gen_spec_digest"],
+                           header["history_summary"], sha256)
     except (ShapeError, ValueError) as exc:
         raise CorruptArtifact(str(exc)) from exc
 
@@ -376,7 +376,6 @@ class EnsembleNet:
     n_channels: int
     head_w: np.ndarray
     head_b: np.ndarray
-    class_count: int
     buffer: np.ndarray = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
@@ -389,12 +388,9 @@ class EnsembleNet:
         if len(in_dims) != 1:
             raise ShapeError("branch input dims must all agree")
         width = self.head_input_dim
-        if head_w.shape != (self.class_count, width):
-            raise ShapeError(
-                f"head expects input dim {width}, got {head_w.shape}"
-            )
-        if head_b.shape != (self.class_count,):
-            raise ShapeError("head bias shape mismatch")
+        if head_b.ndim != 1 or head_w.shape != (head_b.size, width):
+            raise ShapeError(f"head expects input dim {width} and a bias vector,"
+                             f" got {head_w.shape} and {head_b.shape}")
         size = sum(b.buffer.size for b in self.branches) + head_w.size + head_b.size
         self.buffer = nets.parameter_buffer(size, self.buffer)
         *blocks, self.head_w, self.head_b = self._layout(self.buffer)
@@ -408,6 +404,10 @@ class EnsembleNet:
         shapes = [(b.buffer.size,) for b in self.branches]
         shapes += [(self.class_count, self.head_input_dim), (self.class_count,)]
         return nets.flat_views(buffer, shapes)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.head_b)
 
     @property
     def input_dim(self) -> int:
@@ -426,14 +426,7 @@ class EnsembleNet:
 
     def copy(self, buffer=None) -> "EnsembleNet":
         """An independent copy, in `buffer` if one is given."""
-        return EnsembleNet(
-            self.branches,
-            self.n_channels,
-            self.head_w,
-            self.head_b,
-            self.class_count,
-            buffer=buffer,
-        )
+        return replace(self, buffer=buffer)
 
     def __deepcopy__(self, memo) -> "EnsembleNet":
         # as for DenseNet: the copy's parameters must view its own buffer
@@ -515,11 +508,9 @@ def build_ensemble(
     """
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    branches = [a.net for a in artifacts]
-    head_in = n_channels * sum(b.topology.output_dim for b in branches)
-    rng = rng_for(seed, "ensemble-head")
-    head_w = nets.glorot_uniform(rng, n_classes, head_in)
-    return EnsembleNet(branches, n_channels, head_w, np.zeros(n_classes), n_classes)
+    head_in = n_channels * sum(a.net.topology.output_dim for a in artifacts)
+    head_w = nets.glorot_uniform(rng_for(seed, "ensemble-head"), n_classes, head_in)
+    return EnsembleNet([a.net for a in artifacts], n_channels, head_w, np.zeros(n_classes))
 
 
 def fine_tune(net, train_xy, val_xy, cfg: TrainConfig):

@@ -157,6 +157,9 @@ _FAMILY_FUNCS = {
 }
 
 
+_STANDARDIZE_ROWS = 256  # rows per pass, so the std's temporaries are one pass in size
+
+
 def generate_rows(spec: GenSpec, indices) -> np.ndarray:
     """Corpus signals `indices` as a (len(indices), spec.length) array.
 
@@ -178,14 +181,17 @@ def generate_rows(spec: GenSpec, indices) -> np.ndarray:
                 family = name
                 break
         rows[k] = _FAMILY_FUNCS[family](rng, spec.length, spec.sample_rate)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))}: samples must be finite")
-    std = rows.std(axis=1, keepdims=True)
-    if not std.all():
-        raise DegenerateSignal("cannot standardize a constant signal", int(np.argmin(std)))
-    rows -= rows.mean(axis=1, keepdims=True)
-    rows /= std
+    for start in range(0, len(rows), _STANDARDIZE_ROWS):
+        block = rows[start:start + _STANDARDIZE_ROWS]
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"row {start + int(np.argmin(finite))}: samples must be finite")
+        std = block.std(axis=1, keepdims=True)
+        if not std.all():
+            raise DegenerateSignal("cannot standardize a constant signal",
+                                   start + int(np.argmin(std)))
+        block -= block.mean(axis=1, keepdims=True)
+        block /= std
     return rows
 
 

@@ -271,3 +271,12 @@ def test_mfcc_memory_does_not_grow_with_the_batch():
     large = traced_peak(fe.compute_features, x, 128.0, "mfcc")
     output_growth = (1024 - 64) * fe.DEFAULT_N_MFCC * 8
     assert large - small <= output_growth + SLACK, (small, large)
+
+
+def test_generation_memory_does_not_grow_with_the_batch():
+    # one standardization block against eight: only the output may grow
+    spec = sg.GenSpec(seed=7)
+    small = traced_peak(sg.generate_rows, spec, range(256))
+    large = traced_peak(sg.generate_rows, spec, range(2048))
+    output_growth = (2048 - 256) * spec.length * 8
+    assert large - small <= output_growth + SLACK, (small, large)

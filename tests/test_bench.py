@@ -1050,6 +1050,33 @@ def test_ingest_numbers_are_plain_ascii(tmp_path):
     assert bench.ingest_dataset_csv(good).inputs[2, 0].tolist() == [1.5, -2.0]
 
 
+@pytest.mark.parametrize("column, good, bads, message", [
+    (1, "10", ("1_0", "\u0661\u0660"), "item 1 has non-integer subject_id"),
+    (2, "1", ("0_1", "\u0661"), "bad numeric field"),
+    (3, "0", ("0_0", "\u0660"), "bad numeric field"),
+], ids=["subject_id", "label", "channel"])
+def test_ingest_ids_follow_the_number_rule(tmp_path, column, good, bads, message):
+    # Python's `int` takes each bad token as the good value; the dataset
+    # CSV's number rule refuses underscores and non-ASCII digits
+    def ingest_with(name, token):
+        fields = ["1", "10", "1", "0", "3.0", "4.0"]
+        fields[column] = token
+        path = tmp_path / f"{name}.csv"
+        rows = ["0,1,0,0,1.0,2.0", ",".join(fields), "2,1,0,0,5.0,6.0", "3,10,1,0,7.0,8.0"]
+        path.write_bytes((HEADER + "\n".join(rows) + "\n").encode())
+        return bench.ingest_dataset_csv(path)
+
+    for k, bad in enumerate(bads):
+        with pytest.raises(IngestError, match=message) as info:
+            ingest_with(f"bad{k}", bad)
+        assert info.value.row == 3, bad
+    # controls: the ASCII number, with or without whitespace around it
+    for name, token in (("plain", good), ("spaced", f" {good}\t")):
+        data = ingest_with(name, token)
+        assert data.subject_ids.tolist() == [1, 10, 1, 10], name
+        assert data.labels.tolist() == [0, 1, 0, 1], name
+
+
 def test_ingest_names_the_first_problem_in_file_order(tmp_path):
     # numpy's read fails at row 4, but row 3 already changes its item's label
     text = HEADER + "0,,0,0,1.0,2.0\n0,,1,1,1.0,2.0\n1,,1,0,1.0,1_0\n"

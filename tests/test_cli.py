@@ -324,6 +324,52 @@ def test_oracle_signals_csv(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_oracle_signals_csv_numbers_are_plain_ascii(tmp_path, capsys):
+    # Python's `float` takes "1_0" as 10.0 and Arabic-Indic "\u0661" as 1.0;
+    # the dataset CSV's number rule refuses both
+    path = tmp_path / "sig.csv"
+    x = signals.generate(signals.GenSpec(seed=88), 0).samples
+    write_signals_csv(path, [x, x])
+    text = path.read_text(encoding="utf-8").splitlines()
+
+    def kurtosis_with(token):
+        fields = text[2].split(",")
+        fields[5] = token
+        path.write_text("\n".join(text[:2] + [",".join(fields)]) + "\n", encoding="utf-8")
+        code = main(["oracle", "--feature", "kurtosis", "--signals-csv", str(path)])
+        return code, capsys.readouterr()
+
+    for bad in ("1_0", "\u0661"):
+        code, captured = kurtosis_with(bad)
+        assert code == 2 and captured.out == "", bad
+        assert captured.err.startswith("error: row 3: bad sample value: "), captured.err
+    # controls: an ASCII number, with or without whitespace around it, loads
+    code, want = kurtosis_with("10")
+    assert code == 0
+    assert kurtosis_with(" 10\t") == (0, want)
+
+
+def test_oracle_demo_is_sampled_at_sample_rate(tmp_path, capsys):
+    path = tmp_path / "sine.csv"
+    t = np.arange(signals.DEFAULT_LENGTH) / 1000.0
+    write_signals_csv(path, [np.sin(2 * np.pi * 10.0 * t)])
+    assert main(["oracle", "--feature", "mfcc", "--signals-csv", str(path),
+                 "--sample-rate", "1000"]) == 0
+    want = capsys.readouterr().out
+    assert main(["oracle", "--feature", "mfcc", "--demo", "10hz-sine",
+                 "--sample-rate", "1000"]) == 0
+    assert capsys.readouterr().out == want
+    # control: at the default rate the demo is another signal
+    assert main(["oracle", "--feature", "mfcc", "--demo", "10hz-sine"]) == 0
+    assert capsys.readouterr().out != want
+    # a rate the demo cannot be sampled at is named as such, for either source
+    for source in (["--demo", "10hz-sine"], ["--signals-csv", str(path)]):
+        for rate in ("0", "-5", "nan"):
+            assert main(["oracle", "--feature", "mfcc", *source, "--sample-rate", rate]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --sample-rate must be positive, got {float(rate)}\n"
+
+
 def test_oracle_missing_signals_csv_is_an_io_error(tmp_path, capsys):
     path = tmp_path / "missing.csv"
     assert main(["oracle", "--feature", "entropy", "--signals-csv", str(path)]) == 4

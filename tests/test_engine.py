@@ -544,6 +544,97 @@ def test_non_finite_json_constants_are_corrupt(tiny_artifact, tmp_path, where, t
         engine.load_fin(path)
 
 
+def spaced_line(path):
+    """Re-sign the `.fin` at `path`, then write its header with `", "` and
+    `": "` separators: the same document and digest, another line."""
+    rewrite_header(path, lambda doc: None)
+    header, payload = split_fin(path)
+    path.write_bytes((json.dumps(header, sort_keys=True) + "\n").encode() + payload)
+
+
+def add_key(*where):
+    """Re-sign the file with one more key, at `where`."""
+    return lambda path: rewrite_header(path, lambda doc: set_field(doc, where, "0" * 64))
+
+
+def integer_norm_hi(path):
+    # still above norm_lo, so only the JSON type is wrong
+    rewrite_header(path, lambda doc: doc.update(norm_hi=[int(v) + 1 for v in doc["norm_hi"]]))
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (add_key("oracle_digest"), "header field oracle_digest "),
+    (add_key("topology", "padding"), "header field topology.padding "),
+    (add_key("history_summary", "seed"), "header field history_summary.seed "),
+    (integer_norm_hi, "header field norm_hi "),
+    (spaced_line, "header line"),
+], ids=["top-level-key", "topology-key", "history-key", "integer-norm-hi", "spaced-line"])
+def test_headers_save_fin_never_writes_are_corrupt(tiny_artifact, tmp_path, tamper, match):
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    tamper(path)
+    with pytest.raises(CorruptArtifact, match=match):
+        engine.load_fin(path)
+
+
+def header_variants(value):
+    """Stand-ins for one header value: itself, other JSON types, and the
+    same numbers written as the other JSON number type."""
+    yield from (value, None, True, 0, 1, 0.5, "entropy", [], {}, [value], {"k": value})
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        yield [float(v) for v in value]
+        yield [int(v) for v in value]
+        yield [v - 0.5 for v in value]
+    elif type(value) in (int, float):
+        yield from (float(value), int(value), value + 1)
+
+
+def test_every_tampered_header_that_loads_resaves_to_its_bytes(tiny_artifact, tmp_path):
+    source = saved(tiny_artifact, tmp_path, "source.fin")
+    doc, _ = split_fin(source)
+    paths = [(key,) for key in doc] + [("topology", key) for key in doc["topology"]]
+    paths += [("history_summary", key) for key in doc["history_summary"]]
+    paths += [("extra",), ("topology", "extra"), ("history_summary", "extra")]
+    layouts = {"canonical": None, "spaced": (", ", ": "), "unsorted": (",", ":")}
+    path, again = tmp_path / "t.fin", tmp_path / "again.fin"
+    loaded = refused = 0
+    for where in paths:
+        current = doc
+        for key in where:
+            current = current.get(key, 0) if isinstance(current, dict) else 0
+        for value in header_variants(current):
+            for layout, separators in layouts.items():
+                path.write_bytes(source.read_bytes())
+                rewrite_header(path, lambda d: set_field(d, where, value))
+                if separators:
+                    header, payload = split_fin(path)
+                    header = {"sha256": header.pop("sha256"), **header}  # sha256 first
+                    text = json.dumps(header, sort_keys=layout == "spaced",
+                                      separators=separators)
+                    path.write_bytes((text + "\n").encode() + payload)
+                try:
+                    artifact = engine.load_fin(path)
+                except (CorruptArtifact, UnsupportedVersion):
+                    refused += 1
+                    continue
+                loaded += 1
+                engine.save_fin(artifact, again)
+                assert again.read_bytes() == path.read_bytes(), (where, value, layout)
+    # controls: every field re-signed with its own value loads, and so do
+    # some other values of the JSON type save_fin writes
+    assert loaded > len(paths) - 3, (loaded, refused)
+    assert refused > loaded
+
+
+def test_artifact_gen_spec_digest_is_64_hex_in_memory_too():
+    net = nets.init_random(nets.Topology((8, 4, 1), ("relu", "linear")), 0)
+    for digest in ("0" * 64, "0123456789abcdef" * 4):
+        engine.FinArtifact("entropy", net, np.zeros(1), np.ones(1), digest, {})
+    for digest in ("zz", "0" * 63, "A" * 64, "0" * 65, 0, None):
+        with pytest.raises(ValueError, match="gen_spec_digest"):
+            engine.FinArtifact("entropy", net, np.zeros(1), np.ones(1), digest, {})
+
+
 # ---------------------------------------------------------------------------
 # transfer mechanics
 # ---------------------------------------------------------------------------
@@ -597,6 +688,20 @@ def test_ensemble_head_dimension_arithmetic():
         ens = engine.build_ensemble(arts, channels, classes, seed=1)
         assert ens.head_input_dim == channels * sum(widths)
         assert ens.head_w.shape == (classes, ens.head_input_dim)
+
+
+def test_ensemble_class_count_is_its_heads():
+    arts = [fake_artifact("entropy", 1, 5), fake_artifact("mfcc", 13, 6)]
+    ens = engine.build_ensemble(arts, n_channels=2, n_classes=3, seed=9)
+    assert ens.class_count == 3 == ens.head_b.size
+    assert ens.copy().class_count == 3
+    with pytest.raises(AttributeError):
+        ens.class_count = 2
+    # a head that does not fit the branches, or whose bias is not a vector
+    for head_w, head_b in ((ens.head_w[:, 1:], ens.head_b), (ens.head_w[:2], ens.head_b),
+                           (ens.head_w, ens.head_b[:, None])):
+        with pytest.raises(ShapeError, match="head expects"):
+            engine.EnsembleNet(ens.branches, 2, head_w, head_b)
 
 
 def test_ensemble_retains_branches_bit_exactly():

@@ -102,6 +102,17 @@ def test_generate_rows_names_a_non_finite_row(monkeypatch):
     assert not isinstance(info.value, DegenerateSignal)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_standardization_blocks_keep_rows_and_row_names(monkeypatch, block):
+    spec = sg.GenSpec(length=64, seed=3)
+    want = sg.generate_rows(spec, range(7)).tobytes()
+    monkeypatch.setattr(sg, "_STANDARDIZE_ROWS", block)
+    assert sg.generate_rows(spec, range(7)).tobytes() == want
+    for value, error in ((2.0, DegenerateSignal), (np.inf, ValueError)):
+        with pytest.raises(error, match="row 2: "):
+            sg.generate_rows(patched_third_row(monkeypatch, value), [10, 11, 12, 13])
+
+
 def test_gen_spec_validation():
     with pytest.raises(ValueError):
         sg.GenSpec(length=32)
