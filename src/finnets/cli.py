@@ -378,10 +378,14 @@ def _demo_signal(kind: str, fs: float) -> fe.Signal:
     if kind == "constant":
         return fe.Signal(np.ones(n), fs)
     if kind.endswith("hz-sine"):
+        text = kind[: -len("hz-sine")]
         try:
-            freq = float(kind[: -len("hz-sine")])
+            freq = B._csv_number(text)
         except ValueError:
-            raise CliError(f"bad demo signal {kind!r}") from None
+            freq = np.nan
+        if not (np.isfinite(freq) and freq > 0):
+            raise CliError(f"bad demo signal {kind!r}: frequency {text!r} must be"
+                           f" a finite positive number")
         t = np.arange(n) / fs
         return fe.Signal(np.sin(2 * np.pi * freq * t), fs)
     if kind == "noise":

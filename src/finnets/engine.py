@@ -38,7 +38,7 @@ from .errors import (
 from .nets import DenseNet, Topology, TrainConfig
 from .rng import derive_seed, rng_for
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 NORM_PERCENTILES = (0.1, 99.9)
 DEFAULT_N_SIGNALS = 20000
 VAL_FRACTION = 0.15
@@ -86,8 +86,8 @@ def split_indices(seed: int, n: int):
     """Deterministic train/validation index split of range(n); validation
     takes `VAL_FRACTION` of it."""
     perm = rng_for(seed, "pretrain-split").permutation(n)
-    n_val = int(round(VAL_FRACTION * n))
-    if n_val < 1 or n_val >= n:
+    n_val = int(round(VAL_FRACTION * n))  # below n for every n >= 1
+    if n_val < 1:
         raise ValueError("corpus too small to split")
     return perm[n_val:], perm[:n_val]
 
@@ -251,6 +251,7 @@ def _fin_header(fields) -> dict:
         "norm_lo": [float(v) for v in fields["norm_lo"]],
         "norm_hi": [float(v) for v in fields["norm_hi"]],
         "gen_spec_digest": fields["gen_spec_digest"],
+        "oracle_digest": fe.oracle_digest(fields["feature"]),
         "history_summary": {
             "best_val_loss": float(fields["history_summary"]["best_val_loss"]),
             "epochs": int(fields["history_summary"]["epochs"]),
@@ -259,7 +260,7 @@ def _fin_header(fields) -> dict:
 
 
 def save_fin(artifact: FinArtifact, path) -> None:
-    """Write format v2: the canonical JSON header line, then the net's
+    """Write format v3: the canonical JSON header line, then the net's
     parameter buffer as little-endian float32 in memory order, through
     `_replacing`, so a failed write leaves any earlier file at `path` intact."""
     header = _fin_header({**vars(artifact), "topology": artifact.net.topology})
@@ -288,8 +289,9 @@ def load_fin(path) -> FinArtifact:
     """Read a `.fin` file, which loads only as `save_fin` writes it: past
     the version and digest checks, line 1 must be the canonical JSON of
     the header that `_fin_header` rebuilds from the parsed fields, so
-    every field has the value and JSON type `save_fin` gives it. Then the
-    payload size and the artifact's own value checks apply."""
+    every field has the value and JSON type `save_fin` gives it, and
+    `oracle_digest` is the running oracle's. Then the payload size and the
+    artifact's own value checks apply."""
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
@@ -313,6 +315,10 @@ def load_fin(path) -> FinArtifact:
         header = _fin_header({**doc, "topology": topology})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"malformed artifact field: {exc}") from exc
+    if doc.get("oracle_digest") != header["oracle_digest"]:
+        raise CorruptArtifact(f"oracle_digest {doc.get('oracle_digest')!r} is not the digest of"
+                              f" this version's {header['feature']} oracle,"
+                              f" {header['oracle_digest']}; re-run `fin pretrain`")
     if line != _canonical_json({**header, "sha256": sha256}).encode("ascii"):
         name = _differing_field(header, doc)
         raise CorruptArtifact(f"header field {name} is unknown or of the wrong JSON type" if name

@@ -6,8 +6,9 @@ skewness, fundamental frequency, mel-frequency cepstral coefficients, and
 a burst-suppression regularity score. Each is a pure function of the
 signal and doubles as the regression target generator and the
 verification oracle for a trained network. Every setting is a module
-constant, because a `.fin` file records none of them: a network trained
-on other settings would silently mismatch its targets.
+constant, and `oracle_digest` hashes the ones each oracle reads: a `.fin`
+header records that digest, so a network trained against other settings
+is refused on load instead of silently mismatching its targets.
 
 There is one implementation of each oracle: `compute_features` evaluates
 it over a batch of equal-length rows, a fixed number of rows at a time,
@@ -20,12 +21,15 @@ squaring as `scipy.stats.moment` takes them (c * c once, then m3 from
 (c * c) * c and m4 from (c * c) * (c * c)), so kurtosis and skewness equal
 `scipy.stats.kurtosis(x, fisher=True, bias=True)` and
 `scipy.stats.skew(x, bias=True)` bit for bit; mfcc is one DCT of the
-frame-averaged log-mel energies per signal; entropy is base-2 over an
+frame-averaged log-mel energies per signal, over frames long enough
+for every mel filter to weight some rfft bin; entropy is base-2 over an
 equal-width amplitude histogram, binned exactly as `np.histogram` bins;
 degenerate inputs raise `DegenerateSignal` rather than returning NaN.
 """
 
 import functools
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +49,16 @@ DEFAULT_N_MFCC = 13
 F0_THRESHOLD = 0.3
 F0_MIN_HZ = 1.0
 
-# MFCC pipeline constants: 25 ms Hamming frames, 10 ms hop, 26 triangular
-# mel filters spanning 0..Nyquist, log floor, DCT-II (orthonormal).
+# MFCC pipeline constants: Hamming frames of 25 ms at a 10 ms hop, but at
+# least MFCC_MIN_FRAME samples at a hop of at least MFCC_MIN_HOP, so that
+# each of the 26 triangular mel filters (0..Nyquist) weights some rfft bin
+# at low rates too (an 8 kHz frame is 200 samples; 25 ms at 128 Hz is 3,
+# and 32-sample frames still leave a filter empty at 1 kHz); log floor,
+# DCT-II (orthonormal).
 MFCC_FRAME_SECONDS = 0.025
 MFCC_HOP_SECONDS = 0.010
+MFCC_MIN_FRAME = 64
+MFCC_MIN_HOP = 32
 MFCC_N_FILTERS = 26
 MFCC_LOG_FLOOR = 1e-10
 
@@ -82,9 +92,11 @@ def feature_width(feature: str) -> int:
     return DEFAULT_N_MFCC if feature == "mfcc" else 1
 
 
-# Rows per pass in `compute_features`. The largest transient is mfcc's:
-# about 0.13 MB of frame, spectrum and log-energy arrays per row at the
-# default geometry, so one pass holds about 4 MB whatever the corpus size.
+# Rows per pass in `compute_features`. The largest transient is f0's: a
+# zero-padded rfft at twice the length, its power spectrum and the
+# autocorrelation, about 33 kB per row at the default 512 samples (mfcc's
+# frames and spectra take 20 kB), so one pass holds about 1 MB whatever
+# the corpus size.
 _ROWS = 32
 
 
@@ -207,10 +219,11 @@ def _mel_inv(mel):
 def mel_filterbank(n_filters: int, n_fft: int, sample_rate: float) -> np.ndarray:
     """Triangular mel filters over rfft bins, 0 to Nyquist.
 
-    Filters are evaluated in continuous frequency (no bin snapping), so
-    narrow filters at low FFT resolutions degrade gracefully to zero
-    weight instead of dividing by zero. The bank is cached per argument
-    triple and returned read-only, since every caller shares it.
+    Filters are evaluated in continuous frequency (no bin snapping). A
+    filter that covers no bin would log the floor in every frame, so a
+    geometry that leaves any filter with zero weight is a `ValueError`.
+    The bank is cached per argument triple and returned read-only, since
+    every caller shares it.
     """
     bin_hz = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     mel_points = _mel_inv(np.linspace(0.0, float(_mel(sample_rate / 2)), n_filters + 2))
@@ -225,14 +238,20 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: float) -> np.ndarray
             bank[j] = np.where(
                 (bin_hz > center) & (bin_hz <= right), falling, bank[j]
             )
+    empty = np.flatnonzero(~bank.any(axis=1))
+    if empty.size:
+        raise ValueError(f"mel filterbank (n_filters, n_fft, sample_rate) ="
+                         f" ({n_filters}, {n_fft}, {sample_rate}) gives filters"
+                         f" {empty.tolist()} zero weight")
     bank.setflags(write=False)
     return bank
 
 
 def _mfcc_geometry(fs: float):
-    """Frame length and hop in samples: 25 ms frames at a 10 ms hop."""
-    frame_len = max(int(round(MFCC_FRAME_SECONDS * fs)), 2)
-    hop = max(int(round(MFCC_HOP_SECONDS * fs)), 1)
+    """Frame length and hop in samples: 25 ms frames at a 10 ms hop, at
+    least MFCC_MIN_FRAME samples at a hop of at least MFCC_MIN_HOP."""
+    frame_len = max(int(round(MFCC_FRAME_SECONDS * fs)), MFCC_MIN_FRAME)
+    hop = max(int(round(MFCC_HOP_SECONDS * fs)), MFCC_MIN_HOP)
     return frame_len, hop
 
 
@@ -246,11 +265,10 @@ def _mfcc_rows(x: np.ndarray, fs: float) -> np.ndarray:
     runs stacked over a 3-D (rows, frames, bins) array, which computes
     each row exactly as a 2-D call on that row alone would.
 
-    At the default 128 Hz, frames are 3 samples at a 1-sample hop, so a
-    512-sample signal has 510 frames. Each frame's rfft has two bins, 0
-    and 42.7 Hz, and only mel filters 17 and 18 (counting from 0) cover
-    one of them: the other 24 log energies sit at log(MFCC_LOG_FLOOR) in
-    every frame.
+    At the default 128 Hz, frames take the 64-sample floor at a 32-sample
+    hop, so a 512-sample signal has 15 frames. Each frame's rfft has 33
+    bins 2 Hz apart, and every one of the 26 mel filters weights some of
+    them.
     """
     frame_len, hop = _mfcc_geometry(fs)
     n_frames = 1 + (x.shape[1] - frame_len) // hop
@@ -301,6 +319,30 @@ def _oracle(feature: str, length: int, fs: float):
             raise ValueError("regularity needs at least 2 samples")
         return _regularity_rows
     raise ValueError(f"unknown feature {feature!r}")
+
+
+# The module constants each oracle reads, itself or through the helpers
+# it calls: `oracle_digest` hashes their values, so a constant an oracle
+# comes to read belongs here too (a test compares the table with the code).
+_ORACLE_CONSTANTS = {
+    "entropy": ("DEFAULT_N_BINS",),
+    "kurtosis": (),
+    "skewness": (),
+    "f0": ("F0_MIN_HZ", "F0_THRESHOLD"),
+    "mfcc": ("DEFAULT_N_MFCC", "MFCC_FRAME_SECONDS", "MFCC_HOP_SECONDS", "MFCC_LOG_FLOOR",
+             "MFCC_MIN_FRAME", "MFCC_MIN_HOP", "MFCC_N_FILTERS"),
+    "regularity": (),
+}
+
+
+def oracle_digest(feature: str) -> str:
+    """SHA-256 of the feature name and of the value of each constant its
+    oracle reads: the `oracle_digest` a `.fin` header records."""
+    if feature not in FEATURE_NAMES:
+        raise ValueError(f"unknown feature {feature!r}")
+    doc = {"feature": feature,
+           "constants": {name: globals()[name] for name in _ORACLE_CONSTANTS[feature]}}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("ascii")).hexdigest()
 
 
 def compute_features(samples: np.ndarray, sample_rate: float, feature: str) -> np.ndarray:

@@ -429,7 +429,7 @@ def test_criterion_08_transfer_mechanics(tmp_path):
 
 def test_criterion_09_protocol_hygiene(entropy_fin):
     """Poisoning a test partition with NaN changes nothing about training;
-    results bit-reproduce regardless of worker count."""
+    two serial runs of the same plan bit-reproduce each other."""
     art, _ = entropy_fin
     data = bench.make_feature_threshold_task(
         "entropy", n_items=120, rho=0.05, seed=31

@@ -81,8 +81,8 @@ def ref_f0(x, fs):
 
 def ref_log_mel(x, fs):
     """(frames, filters) log-mel energies of one signal."""
-    frame_len = max(int(round(fe.MFCC_FRAME_SECONDS * fs)), 2)
-    hop = max(int(round(fe.MFCC_HOP_SECONDS * fs)), 1)
+    frame_len = max(int(round(fe.MFCC_FRAME_SECONDS * fs)), fe.MFCC_MIN_FRAME)
+    hop = max(int(round(fe.MFCC_HOP_SECONDS * fs)), fe.MFCC_MIN_HOP)
     n_frames = 1 + (x.size - frame_len) // hop
     idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[idx] * np.hamming(frame_len)

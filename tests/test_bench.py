@@ -126,9 +126,10 @@ def test_split_repeated_is_seeded():
 
 
 def test_split_repeated_too_small_raises():
+    # two classes of 2: test takes round(0.6) = 1 item, validation round(0.45) = 0
     data = toy_dataset(n_items=4)
     plan = bench.SplitPlan(mode="repeated_random", repeats=1, seed=0)
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="^dataset too small to split$"):
         bench.split_repeated(data, plan, 0)
 
 
@@ -222,6 +223,10 @@ def test_stratified_subsample_counts():
     assert not np.array_equal(sub, other)
     full = bench.stratified_subsample(labels, train_idx, 1.0, (9, "subsample", 0, 1000))
     assert np.array_equal(full, train_idx)
+    # a class of 7 at 0.5 gives round(3.5) = 4 items, not int(3.5) = 3
+    odd = np.array([0] * 7 + [1] * 8)
+    sub = bench.stratified_subsample(odd, np.arange(15), 0.5, (9, "subsample", 0, 500))
+    assert (odd[sub] == 0).sum() == 4 and (odd[sub] == 1).sum() == 4
 
 
 def test_stratified_subsample_errors():

@@ -140,7 +140,7 @@ def test_inspect_prints_summary(artifact_path, capsys):
     assert "feature: entropy" in out
     assert "layer_sizes: 1024x512x256x64x1" in out
     assert "gen_spec_digest:" in out
-    assert "format_version: 2\n" in out
+    assert "format_version: 3\n" in out
     header = json.loads(Path(artifact_path).read_bytes().split(b"\n", 1)[0])
     assert f"sha256: {header['sha256']}\n" in out
 
@@ -185,6 +185,18 @@ def test_inspect_field_of_the_wrong_json_type(artifact_path, tmp_path, capsys):
     bad = resigned_copy(artifact_path, tmp_path, fractional_epochs)
     assert main(["inspect", str(bad)]) == 4
     assert "epochs" in capsys.readouterr().err
+
+
+def test_inspect_refuses_an_artifact_of_another_oracle(artifact_path, tmp_path, capsys):
+    def other_oracle(doc):
+        doc["oracle_digest"] = features.oracle_digest("mfcc")
+
+    assert main(["inspect", artifact_path]) == 0  # the untouched file is the clean control
+    bad = resigned_copy(artifact_path, tmp_path, other_oracle)
+    capsys.readouterr()
+    assert main(["inspect", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle_digest ") and "re-run `fin pretrain`" in err
 
 
 def test_inspect_non_finite_constant(artifact_path, tmp_path, capsys):
@@ -241,6 +253,17 @@ def test_oracle_demo_values(capsys):
     assert main(["oracle", "--feature", "mfcc", "--demo", "noise"]) == 0
     values = capsys.readouterr().out.split()
     assert len(values) == 14  # row index plus 13 coefficients
+
+
+def test_oracle_demo_frequency_follows_the_csv_number_rule(capsys):
+    assert main(["oracle", "--feature", "entropy", "--demo", "10hz-sine"]) == 0
+    assert capsys.readouterr().out.split()[1] == "3.7247301466508205"  # the control
+    for freq in ("1_0", "inf", "nan", "0", "-3", "ten"):
+        assert main(["oracle", "--feature", "entropy", f"--demo={freq}hz-sine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bad demo signal '{freq}hz-sine': frequency"
+                                f" '{freq}' must be a finite positive number\n")
 
 
 def test_oracle_normalized_range(capsys):
@@ -424,6 +447,17 @@ def test_oracle_signals_csv_names_the_degenerate_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: row 4: kurtosis needs at least 4 samples\n"
     assert captured.out == ""
+    # mfcc needs one 64-sample frame: 63 samples are refused, 64 run
+    rows[2] = rows[0][:63]
+    write_signals_csv(path, rows)
+    assert main(["oracle", "--feature", "mfcc", "--signals-csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: row 4: signal shorter than one 64-sample frame\n"
+    assert captured.out == ""
+    rows[2] = rows[0][:64]
+    write_signals_csv(path, rows)
+    assert main(["oracle", "--feature", "mfcc", "--signals-csv", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
     # a demo signal has no row
     assert main(["oracle", "--feature", "kurtosis", "--demo", "constant"]) == 2
     captured = capsys.readouterr()

@@ -320,10 +320,10 @@ def test_fin_header_is_the_canonical_json_of_its_document(tiny_artifact, tmp_pat
         line = data[: data.index(b"\n") + 1]
         assert is_canonical_json_line(line), name
         header = json.loads(line)
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         assert sorted(header) == ["feature", "format_version", "gen_spec_digest",
-                                  "history_summary", "norm_hi", "norm_lo", "sha256",
-                                  "topology"]
+                                  "history_summary", "norm_hi", "norm_lo", "oracle_digest",
+                                  "sha256", "topology"]
         # the digest is the documented one: re-signing leaves every byte as it was
         rewrite_header(path, lambda doc: None)
         assert path.read_bytes() == data, name
@@ -468,6 +468,43 @@ def test_format_1_file_is_unsupported(tiny_artifact, tmp_path):
         engine.load_fin(path)
 
 
+def test_format_2_file_is_unsupported(tiny_artifact, tmp_path):
+    def as_format_2(doc):  # the same header before it named its oracle
+        del doc["oracle_digest"]
+        doc["format_version"] = 2
+
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    rewrite_header(path, as_format_2)
+    with pytest.raises(UnsupportedVersion, match=r"format_version 2 .*fin pretrain"):
+        engine.load_fin(path)
+
+
+def test_edited_oracle_digest_is_corrupt(tiny_artifact, tmp_path):
+    path = saved(tiny_artifact, tmp_path)
+    engine.load_fin(path)  # the untouched file is the clean control
+    assert split_fin(path)[0]["oracle_digest"] == fe.oracle_digest("entropy")
+    data = path.read_bytes()
+    for other in (fe.oracle_digest("kurtosis"), "0" * 64):
+        path.write_bytes(data)
+        rewrite_header(path, lambda doc: doc.update(oracle_digest=other))
+        with pytest.raises(CorruptArtifact, match=f"oracle_digest '{other}' ") as err:
+            engine.load_fin(path)
+        assert "wrong JSON type" not in str(err.value)
+
+
+def test_artifact_of_another_oracle_setting_is_refused(tmp_path, monkeypatch):
+    art = fake_artifact("mfcc", fe.DEFAULT_N_MFCC, 3)
+    engine.load_fin(saved(art, tmp_path, "now.fin"))  # control: today's constants
+    monkeypatch.setattr(fe, "MFCC_MIN_FRAME", 2)
+    monkeypatch.setattr(fe, "MFCC_MIN_HOP", 1)
+    before = saved(art, tmp_path, "before.fin")
+    engine.load_fin(before)  # loads while the old constants are in force
+    monkeypatch.undo()
+    with pytest.raises(CorruptArtifact, match="oracle_digest .* mfcc oracle"):
+        engine.load_fin(before)
+
+
 def test_future_version_is_unsupported(tiny_artifact, tmp_path):
     path = saved(tiny_artifact, tmp_path)
     engine.load_fin(path)  # the untouched file is the clean control
@@ -482,10 +519,12 @@ def test_corrupt_payload_and_fields(tiny_artifact, tmp_path):
     engine.load_fin(path)  # the untouched file is the clean control
     data = path.read_bytes()
 
-    path.write_bytes(data[:-4])
-    rewrite_header(path, lambda doc: None)
-    with pytest.raises(CorruptArtifact, match="payload holds"):
-        engine.load_fin(path)
+    n = len(split_fin(path)[1])
+    for payload, size in ((data[:-4], n - 4), (data + bytes(4), n + 4)):  # short, extended
+        path.write_bytes(payload)
+        rewrite_header(path, lambda doc: None)
+        with pytest.raises(CorruptArtifact, match=f"payload holds {size} bytes, expected {n}"):
+            engine.load_fin(path)
 
     path.write_bytes(data)
     rewrite_header(path, lambda doc: doc.pop("norm_lo"))
@@ -563,7 +602,7 @@ def integer_norm_hi(path):
 
 
 @pytest.mark.parametrize("tamper, match", [
-    (add_key("oracle_digest"), "header field oracle_digest "),
+    (add_key("scalogram_digest"), "header field scalogram_digest "),
     (add_key("topology", "padding"), "header field topology.padding "),
     (add_key("history_summary", "seed"), "header field history_summary.seed "),
     (integer_norm_hi, "header field norm_hi "),

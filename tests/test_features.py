@@ -5,6 +5,8 @@ naive route (explicit loops, scipy.stats, a hand-built cosine matrix) and
 compared at tight tolerances over a seeded corpus of generated signals.
 """
 
+import inspect
+import types
 import warnings
 
 import numpy as np
@@ -87,8 +89,9 @@ def ref_mel_bank(n_filters, frame_len, fs):
 
 
 def ref_mfcc(x, fs, n_coeffs=13):
-    frame_len = max(int(round(0.025 * fs)), 2)
-    hop = max(int(round(0.010 * fs)), 1)
+    # 25 ms frames at a 10 ms hop, but at least 64 samples at a 32-sample hop
+    frame_len = max(int(round(0.025 * fs)), 64)
+    hop = max(int(round(0.010 * fs)), 32)
     window = np.hamming(frame_len)
     bank = ref_mel_bank(26, frame_len, fs)
     n_mels = bank.shape[0]
@@ -348,9 +351,86 @@ def test_normalize_rejects_bad_ranges():
             fe.normalize_feature(np.ones(1), np.array([lo]), np.array([hi]))
 
 
+def test_mfcc_at_the_corpus_rate_carries_13_numbers():
+    frame_len, _ = fe._mfcc_geometry(FS)
+    assert fe.mel_filterbank(fe.MFCC_N_FILTERS, frame_len, FS).any(axis=1).all()
+    x = sg.generate_rows(sg.GenSpec(seed=26), range(2000))
+    coeffs = fe.compute_features(x, FS, "mfcc")
+    assert np.linalg.matrix_rank(coeffs - coeffs.mean(axis=0)) == fe.DEFAULT_N_MFCC
+
+
+SWEEP_HZ = (4.21, 64.0, 100.0, 128.0, 250.0, 500.0, 1000.0, 2000.0, 8000.0, 16000.0)
+
+
+@pytest.mark.parametrize("fs", SWEEP_HZ)
+def test_documented_mfcc_geometry_weights_every_mel_filter(fs):
+    frame_len, hop = fe._mfcc_geometry(fs)
+    assert (frame_len, hop) == (max(round(0.025 * fs), 64), max(round(0.010 * fs), 32))
+    assert fe.mel_filterbank(fe.MFCC_N_FILTERS, frame_len, fs).any(axis=1).all()
+    # negative control: 25 ms frames without the floor leave filters empty
+    # up to 1 kHz, and the bank refuses them
+    bare = max(round(0.025 * fs), 2)
+    if fs <= 1000.0:
+        with pytest.raises(ValueError, match=rf"\({fe.MFCC_N_FILTERS}, {bare}, {fs}\)"):
+            fe.mel_filterbank(fe.MFCC_N_FILTERS, bare, fs)
+    else:
+        assert fe.mel_filterbank(fe.MFCC_N_FILTERS, bare, fs).any(axis=1).all()
+
+
+def test_mfcc_needs_one_64_sample_frame():
+    fe.compute_features(np.ones((2, 64)), FS, "entropy")
+    assert fe.compute_features(rng_for(4, "short").standard_normal((2, 64)), FS,
+                               "mfcc").shape == (2, fe.DEFAULT_N_MFCC)
+    with pytest.raises(ValueError, match="shorter than one 64-sample frame"):
+        fe.compute_features(rng_for(4, "short").standard_normal((2, 63)), FS, "mfcc")
+
+
+def constants_read(fn, seen=None):
+    """Names of the features module's upper-case constants that `fn`
+    reads, itself or through the module's functions it calls."""
+    seen = set() if seen is None else seen
+    names = set()
+    codes = [inspect.unwrap(fn).__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in code.co_names:
+            if name not in vars(fe):  # an attribute such as `.T`, or a builtin
+                continue
+            value = vars(fe)[name]
+            if name.isupper() and not callable(value):
+                names.add(name)
+            elif (isinstance(value, types.FunctionType) or hasattr(value, "__wrapped__")) \
+                    and inspect.unwrap(value).__module__ == fe.__name__ and name not in seen:
+                seen.add(name)
+                names |= constants_read(value, seen)
+    return names
+
+
+def test_oracle_digest_covers_every_constant_the_oracle_reads():
+    for feature in fe.FEATURE_NAMES:
+        rows = getattr(fe, f"_{feature}_rows")
+        read = constants_read(rows)
+        if feature == "mfcc":  # the width and the length check sit in `_oracle`
+            read |= {"DEFAULT_N_MFCC"} | constants_read(fe._mfcc_geometry)
+        assert set(fe._ORACLE_CONSTANTS[feature]) == read, feature
+    assert constants_read(fe._mfcc_rows) >= {"MFCC_MIN_FRAME", "MFCC_N_FILTERS"}
+
+
+def test_oracle_digest_follows_its_constants(monkeypatch):
+    before = {f: fe.oracle_digest(f) for f in fe.FEATURE_NAMES}
+    assert len(set(before.values())) == len(fe.FEATURE_NAMES)
+    assert {f: fe.oracle_digest(f) for f in fe.FEATURE_NAMES} == before
+    monkeypatch.setattr(fe, "MFCC_MIN_FRAME", 2)
+    after = {f: fe.oracle_digest(f) for f in fe.FEATURE_NAMES}
+    assert [f for f in fe.FEATURE_NAMES if after[f] != before[f]] == ["mfcc"]
+    with pytest.raises(ValueError, match="unknown feature"):
+        fe.oracle_digest("loudness")
+
+
 def test_mel_filterbank_is_shared_and_read_only():
-    bank = fe.mel_filterbank(fe.MFCC_N_FILTERS, 3, 128.0)
-    assert fe.mel_filterbank(fe.MFCC_N_FILTERS, 3, 128.0) is bank
+    bank = fe.mel_filterbank(fe.MFCC_N_FILTERS, 64, 128.0)
+    assert fe.mel_filterbank(fe.MFCC_N_FILTERS, 64, 128.0) is bank
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
 
