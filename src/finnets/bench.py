@@ -16,6 +16,7 @@ indices; test items reach a fitted predictor only at final evaluation.
 
 import csv
 import functools
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -26,8 +27,10 @@ import numpy as np
 from . import engine as en
 from . import nets
 from . import signals as sg
+from . import stats as st
 from .errors import (
     CorpusDegenerateError,
+    DegenerateGroups,
     DivergedError,
     IngestError,
     ShapeError,
@@ -47,6 +50,7 @@ SEARCH_SPLITS = 3  # repeated random splits each search candidate trains on
 MARGIN_EPOCHS = 200
 MARGIN_LR = 0.05
 MARGIN_REG = 1e-4
+ALPHA = 0.05  # family-wise significance level of the model comparisons
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +629,11 @@ def knn_classify(train_x, train_y, test_x, k: int):
         + (train_x * train_x).sum(axis=1)[None, :]
         - 2.0 * test_x @ train_x.T
     )
-    out = np.empty(len(test_x), dtype=np.int64)
-    for i in range(len(test_x)):
-        order = np.argsort(d2[i], kind="stable")
-        votes = np.bincount(train_y[order[:k]])
-        top = votes.max()
-        tied = set(np.flatnonzero(votes == top))
-        for j in order[:k]:
-            if int(train_y[j]) in tied:
-                out[i] = train_y[j]
-                break
-    return out
+    nearest = train_y[np.argsort(d2, axis=1, kind="stable")[:, :k]]  # (test, k)
+    votes = (nearest[:, :, None] == np.arange(train_y.max() + 1)).sum(axis=1)
+    tied = votes == votes.max(axis=1, keepdims=True)  # (test, classes)
+    first = np.argmax(np.take_along_axis(tied, nearest, axis=1), axis=1)
+    return nearest[np.arange(len(nearest)), first]
 
 
 def _linear_margin_train(train_x, train_y):
@@ -907,20 +905,81 @@ class RunRecord:
 
 @dataclass
 class EvalReport:
-    """Benchmark runs with their comparison rows; the summary tables are
-    computed from `runs` on every read."""
+    """Benchmark runs and their protocol description. The report tables
+    (`aggregates`, `fraction_aggregates`) and the model comparisons
+    (`stats`) are computed from `runs` on every read."""
 
     runs: list
-    stats: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @property
     def aggregates(self) -> dict:
-        return aggregate_runs(self.runs)
+        """Per-model means and sample stds of accuracy and training seconds."""
+        return {
+            tag: {
+                "n_runs": len(group),
+                **_summary([r.accuracy for r in group], "accuracy"),
+                **_summary([r.train_seconds for r in group], "train_seconds"),
+            }
+            for tag, group in _groups(self.runs, lambda r: r.model_tag).items()
+        }
 
     @property
     def fraction_aggregates(self) -> list:
-        return aggregate_fractions(self.runs)
+        """Per (fraction, model) accuracy summaries, fraction-major, models in
+        order of first appearance."""
+        rank = {tag: i for i, tag in enumerate(_groups(self.runs, lambda r: r.model_tag))}
+        groups = _groups(self.runs, lambda r: (r.fraction, r.model_tag))
+        return [
+            {
+                "fraction": fraction,
+                "model_tag": tag,
+                "n_runs": len(groups[fraction, tag]),
+                **_summary([r.accuracy for r in groups[fraction, tag]], "accuracy"),
+            }
+            for fraction, tag in sorted(groups, key=lambda k: (k[0], rank[k[1]]))
+        ]
+
+    @property
+    def stats(self) -> list:
+        """Test rows comparing every pair of models' accuracy samples.
+
+        Models are taken in the order they first appear in `runs`; for each
+        pair (a, b), a one-tailed Welch test of a > b and then a Levene test.
+        All raw p-values are Bonferroni-corrected together as one family at
+        `ALPHA`. A degenerate pair, such as two models with identical
+        constant accuracy, keeps its row with no p-value and the verdict
+        `degenerate`. Empty unless there are at least two models and each
+        has at least two runs.
+        """
+        samples = {
+            tag: np.array([r.accuracy for r in group])
+            for tag, group in _groups(self.runs, lambda r: r.model_tag).items()
+        }
+        if len(samples) < 2 or any(len(acc) < 2 for acc in samples.values()):
+            return []
+        rows = []
+        for tag_a, tag_b in itertools.combinations(samples, 2):
+            a, b = samples[tag_a], samples[tag_b]
+            for name, test, args in (
+                ("welch_one_tailed_greater", st.welch_t_one_tailed, (a, b, "greater")),
+                ("levene", st.levene_test, ([a, b],)),
+            ):
+                try:
+                    stat, p = (float(v) for v in test(*args))
+                except DegenerateGroups:
+                    stat = p = None
+                rows.append({
+                    "test_name": name, "groups": f"{tag_a} vs {tag_b}",
+                    "statistic": stat, "p_value": p,
+                    "corrected_p": None, "verdict": "degenerate",
+                })
+        testable = [row for row in rows if row["p_value"] is not None]
+        corrected = st.bonferroni([row["p_value"] for row in testable])
+        for row, cp in zip(testable, corrected):
+            row["corrected_p"] = float(cp)
+            row["verdict"] = "significant" if cp < ALPHA else "not_significant"
+        return rows
 
 
 def _fraction_key(fraction: float) -> int:
@@ -942,34 +1001,6 @@ def _summary(values, name) -> dict:
         f"mean_{name}": float(x.mean()),
         f"std_{name}": float(x.std(ddof=1)) if x.size > 1 else 0.0,
     }
-
-
-def aggregate_runs(runs):
-    """Per-model means and sample stds of accuracy and training seconds."""
-    return {
-        tag: {
-            "n_runs": len(group),
-            **_summary([r.accuracy for r in group], "accuracy"),
-            **_summary([r.train_seconds for r in group], "train_seconds"),
-        }
-        for tag, group in _groups(runs, lambda r: r.model_tag).items()
-    }
-
-
-def aggregate_fractions(runs):
-    """Per (fraction, model) accuracy summaries, fraction-major, models in
-    order of first appearance."""
-    rank = {tag: i for i, tag in enumerate(_groups(runs, lambda r: r.model_tag))}
-    groups = _groups(runs, lambda r: (r.fraction, r.model_tag))
-    return [
-        {
-            "fraction": fraction,
-            "model_tag": tag,
-            "n_runs": len(groups[fraction, tag]),
-            **_summary([r.accuracy for r in groups[fraction, tag]], "accuracy"),
-        }
-        for fraction, tag in sorted(groups, key=lambda k: (k[0], rank[k[1]]))
-    ]
 
 
 def _enumerate_splits(data: LabeledDataset, plan: SplitPlan):

@@ -17,6 +17,7 @@ import contextlib
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -206,6 +207,7 @@ def cmd_inspect(args) -> int:
     print(f"norm_lo: {lo}")
     print(f"norm_hi: {hi}")
     print(f"gen_spec_digest: {artifact.gen_spec_digest}")
+    print(f"oracle_digest: {fe.oracle_digest(artifact.feature)}")
     print(f"format_version: {en.FORMAT_VERSION}")
     print(f"sha256: {artifact.sha256}")
     return EXIT_OK
@@ -331,11 +333,13 @@ def cmd_bench(args) -> int:
             )
             models[models.index("baseline-search")] = B.RandomDenseModel("baseline-search", winner)
         report = B.run_benchmark(data, plan, models, cfg)
-        rp.add_model_comparisons(report)
-        rp.emit_report(report, out_dir, zero_timing=args.zero_timing)
-        if search_records is not None:
-            if args.zero_timing:
+        if args.zero_timing:
+            # wall-clock seconds are the one field a seeded run cannot repeat
+            report.runs = [replace(r, train_seconds=0.0) for r in report.runs]
+            if search_records is not None:
                 search_records = [{**r, "train_seconds": 0.0} for r in search_records]
+        rp.emit_report(report, out_dir)
+        if search_records is not None:
             rp.emit_search_records(search_records, out_dir)
         _echo_config(args, out_dir, fractions=list(fractions))
         for tag, agg in report.aggregates.items():

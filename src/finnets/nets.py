@@ -8,11 +8,11 @@ Networks train and infer in float32 (`DTYPE`), the dtype `.fin` stores,
 so a saved and reloaded net is the trained one exactly. Arrays cross into
 float32 once: the `DenseNet` constructor copies its parameters into a
 float32 buffer, `fit` casts its training arrays once per run, and
-`forward_stack` (under `forward`) and `backprop` cast their inputs, a
-no-op for arrays already in float32. Losses come back as Python floats.
-`finite_difference_check` runs on a float64 copy of the model, rebuilt
-through the model's constructor on a float64 buffer, because central
-differences need the precision.
+`forward_stack` (under `forward`) and `DenseModel.loss_and_grads` cast
+their inputs, a no-op for arrays already in float32. Losses come back as
+Python floats. `finite_difference_check` runs on a float64 copy of the
+model, rebuilt through the model's constructor on a float64 buffer,
+because central differences need the precision.
 
 Weights are stored (in, out), so a layer computes `a @ w + b` and its
 weight gradient is `a.T @ delta`. A model's parameters are views of one
@@ -284,41 +284,6 @@ def _loss_for(topology: Topology) -> str:
     return "softmax_ce" if topology.activations[-1] == "softmax" else "mse"
 
 
-def backprop(net: DenseNet, inputs: np.ndarray, targets: np.ndarray, grad=None):
-    """Analytic gradients of the mean batch loss the final layer implies.
-
-    The gradients are written into `grad`, a flat buffer laid out like
-    `net.buffer` (a new one when None). Returns (grad, loss_value).
-    softmax_ce takes one-hot targets.
-    """
-    dtype = net.weights[0].dtype
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=dtype))
-    targets = np.atleast_2d(np.asarray(targets, dtype=dtype))
-    if targets.shape[0] != inputs.shape[0]:
-        raise ShapeError("batch size mismatch between inputs and targets")
-    if targets.shape[1] != net.topology.output_dim:
-        raise ShapeError("target dim does not match network output")
-    _check_batch(net, inputs)
-    acts = net.topology.activations
-    loss = _loss_for(net.topology)
-    pre, post = forward_stack(net.weights, net.biases, acts, inputs)
-    output = post[-1]
-    batch = inputs.shape[0]
-    if loss == "softmax_ce":
-        value = loss_value(loss, pre[-1], targets)
-        delta = (post[-1] - targets) / batch  # gradient at the logits
-    else:
-        value = loss_value(loss, output, targets)
-        upstream = 2.0 * (output - targets) / output.size
-        delta = _activation_delta(acts[-1], pre[-1], post[-1], upstream)
-
-    if grad is None:
-        grad = np.empty_like(net.buffer)
-    grads_w, grads_b = layer_views(net.topology, grad)
-    backward_stack(net.weights, acts, pre, post, delta, grads_w, grads_b)
-    return grad, value
-
-
 # Entries per block of `sgd_update`: a block of the parameter, gradient
 # and velocity buffers (768 KB in float32) stays in L2 across its four passes.
 _BLOCK = 1 << 16
@@ -399,8 +364,35 @@ class DenseModel:
         return DenseModel(self.net.copy(buffer))
 
     def loss_and_grads(self, inputs, targets, grad=None):
-        """(loss, gradient buffer); the gradients go into `grad` if given."""
-        grad, value = backprop(self.net, inputs, targets, grad)
+        """Analytic gradients of the mean batch loss the final layer implies.
+
+        Returns (loss, gradient buffer). The gradients are written into
+        `grad`, a flat buffer laid out like `buffer` (a new one when None).
+        softmax_ce takes one-hot targets.
+        """
+        net = self.net
+        dtype = net.weights[0].dtype
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=dtype))
+        targets = np.atleast_2d(np.asarray(targets, dtype=dtype))
+        if targets.shape[0] != inputs.shape[0]:
+            raise ShapeError("batch size mismatch between inputs and targets")
+        if targets.shape[1] != net.topology.output_dim:
+            raise ShapeError("target dim does not match network output")
+        _check_batch(net, inputs)
+        acts = net.topology.activations
+        pre, post = forward_stack(net.weights, net.biases, acts, inputs)
+        output = post[-1]
+        if self.loss == "softmax_ce":
+            value = loss_value(self.loss, pre[-1], targets)
+            delta = (output - targets) / inputs.shape[0]  # gradient at the logits
+        else:
+            value = loss_value(self.loss, output, targets)
+            upstream = 2.0 * (output - targets) / output.size
+            delta = _activation_delta(acts[-1], pre[-1], output, upstream)
+        if grad is None:
+            grad = np.empty_like(net.buffer)
+        grads_w, grads_b = layer_views(net.topology, grad)
+        backward_stack(net.weights, acts, pre, post, delta, grads_w, grads_b)
         return value, grad
 
     def eval_loss(self, inputs, targets) -> float:
@@ -514,7 +506,7 @@ def finite_difference_check(
     parameter's analytic gradient is perturbed before comparison; this
     negative control must make the check fail.
     """
-    model = _float64_copy(model)
+    model = model.copy(np.empty(model.buffer.size, dtype=np.float64))
     _, analytic = model.loss_and_grads(inputs, targets)
     if corrupt:
         first = analytic[: model.parameters()[0].size]
@@ -535,15 +527,6 @@ def finite_difference_check(
         rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
         max_rel = max(max_rel, rel)
     return max_rel
-
-
-def _float64_copy(model):
-    """A training-protocol model's copy on one float64 buffer.
-
-    The copy is rebuilt through the model's constructor, so its parameters
-    are views of that buffer as in the original.
-    """
-    return model.copy(np.empty(model.buffer.size, dtype=np.float64))
 
 
 def _gradcheck_case(rng: np.random.Generator):

@@ -1,23 +1,19 @@
-"""Benchmark report emission and statistical comparisons.
+"""Benchmark report files.
 
-Reports materialize as a canonical JSON document plus plot-ready CSV
-companions. Emission is a pure function of the report contents, so
-emitting the same report twice yields byte-identical files; wall-clock
-timing is the one irreproducible field, and `zero_timing` blanks it for
-byte-level comparisons.
+A report materializes as a canonical JSON document plus plot-ready CSV
+companions. Emission is a pure function of the report it is given, so
+emitting the same report twice yields byte-identical files. Its tables
+and model comparisons are computed by `bench.EvalReport` from its runs;
+this module only writes them. Wall-clock timing is the one
+irreproducible field: `fin bench --zero-timing` zeroes it in the runs
+and search records before they are written.
 """
 
 import csv
-import itertools
 import os
-from dataclasses import replace
 
-import numpy as np
-
-from . import stats as st
 from .bench import EvalReport
 from .engine import _canonical_json
-from .errors import DegenerateGroups
 
 RUNS_CSV = "runs.csv"
 AGGREGATES_CSV = "aggregates.csv"
@@ -25,7 +21,6 @@ LOSS_CURVES_CSV = "loss_curves.csv"
 FRACTION_CSV = "fraction_accuracy.csv"
 SEARCH_CSV = "search_runs.csv"
 REPORT_JSON = "report.json"
-ALPHA = 0.05  # family-wise significance level of the model comparisons
 
 
 def _fmt(x) -> str:
@@ -42,18 +37,10 @@ def write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def emit_report(report: EvalReport, out_dir, zero_timing: bool = False) -> dict:
-    """Write the full report file set into a directory.
-
-    Returns {name: path} for the files written. `zero_timing` replaces
-    every wall-clock seconds field with 0.0 so two runs of the same seeded
-    benchmark emit byte-identical trees.
-    """
+def emit_report(report: EvalReport, out_dir) -> dict:
+    """Write the full report file set into a directory: every table and
+    the model comparisons. Returns {name: path} for the files written."""
     os.makedirs(out_dir, exist_ok=True)
-    if zero_timing:
-        report = replace(
-            report, runs=[replace(r, train_seconds=0.0) for r in report.runs]
-        )
     paths = {}
 
     def target(name):
@@ -123,52 +110,3 @@ def emit_search_records(records, out_dir) -> str:
         for r in records))
     return path
 
-
-def _tested(test, *args):
-    """`test(*args)` as (statistic, p), or (None, None) for degenerate
-    groups, such as two models with identical constant accuracy: the row
-    stays in the report but carries no p-value."""
-    try:
-        return test(*args)
-    except DegenerateGroups:
-        return None, None
-
-
-def add_model_comparisons(report: EvalReport):
-    """Append test rows comparing every pair of models' accuracy samples.
-
-    Models are taken in the order they first appear in `report.runs`; for
-    each pair (a, b), a one-tailed Welch test of a > b and then a Levene
-    test. All raw p-values are Bonferroni-corrected together as one family
-    at `ALPHA`. Nothing is added unless there are at least two models and
-    each has at least two runs. Returns the rows added.
-    """
-    samples = {}
-    for r in report.runs:
-        samples.setdefault(r.model_tag, []).append(r.accuracy)
-    if len(samples) < 2 or any(len(acc) < 2 for acc in samples.values()):
-        return []
-    rows = []
-    for tag_a, tag_b in itertools.combinations(samples, 2):
-        a, b = np.array(samples[tag_a]), np.array(samples[tag_b])
-        for name, (stat, p) in (
-            ("welch_one_tailed_greater", _tested(st.welch_t_one_tailed, a, b, "greater")),
-            ("levene", _tested(st.levene_test, [a, b])),
-        ):
-            rows.append({
-                "test_name": name,
-                "groups": f"{tag_a} vs {tag_b}",
-                "statistic": None if stat is None else float(stat),
-                "p_value": None if p is None else float(p),
-            })
-    testable = [row for row in rows if row["p_value"] is not None]
-    corrected = st.bonferroni([row["p_value"] for row in testable])
-    for row, cp in zip(testable, corrected):
-        row["corrected_p"] = float(cp)
-        row["verdict"] = "significant" if cp < ALPHA else "not_significant"
-    for row in rows:
-        if row["p_value"] is None:
-            row["corrected_p"] = None
-            row["verdict"] = "degenerate"
-    report.stats.extend(rows)
-    return rows

@@ -275,6 +275,20 @@ def test_knn_matches_bruteforce():
             assert np.array_equal(got, want)
 
 
+def test_knn_exact_distance_ties_match_bruteforce():
+    """Integer coordinates put many training points at exactly the same
+    distance; the k nearest are then the lowest-indexed of them."""
+    for seed in range(5):
+        rng = rng_for(seed, "knn-ties")
+        train_x = rng.integers(-2, 3, size=(40, 2)).astype(float)
+        train_y = rng.integers(0, 3, size=40)
+        test_x = rng.integers(-2, 3, size=(25, 2)).astype(float)
+        for k in (2, 3, 4, 6, 9):
+            got = bench.knn_classify(train_x, train_y, test_x, k)
+            want = ref_knn(train_x, train_y, test_x, k)
+            assert np.array_equal(got, want), (seed, k)
+
+
 def test_knn_vote_tie_goes_to_nearest():
     train_x = np.array([[1.0], [2.0], [3.0], [4.0]])
     train_y = np.array([0, 1, 1, 0])
@@ -690,13 +704,13 @@ def test_aggregate_runs_recompute():
     for tag in ("a", "b"):
         for acc, sec in zip(accs[tag], secs[tag]):
             runs.append(make_run(len(runs), tag, 0, 1.0, acc, sec))
-    agg = bench.aggregate_runs(runs)
+    agg = bench.EvalReport(runs=runs).aggregates
     for tag in ("a", "b"):
         assert agg[tag]["n_runs"] == len(accs[tag])
         assert abs(agg[tag]["mean_accuracy"] - np.mean(accs[tag])) < 1e-12
         assert abs(agg[tag]["std_accuracy"] - np.std(accs[tag], ddof=1)) < 1e-12
         assert abs(agg[tag]["mean_train_seconds"] - np.mean(secs[tag])) < 1e-12
-    single = bench.aggregate_runs([make_run(0, "solo", 0, 1.0, 0.5, 1.0)])
+    single = bench.EvalReport(runs=[make_run(0, "solo", 0, 1.0, 0.5, 1.0)]).aggregates
     assert single["solo"]["std_accuracy"] == 0.0
 
 
@@ -708,7 +722,7 @@ def test_aggregate_fractions_order():
         make_run(3, "a", 0, 0.2, 0.5, 1.0),
         make_run(4, "b", 1, 0.2, 0.7, 1.0),
     ]
-    table = bench.aggregate_fractions(runs)
+    table = bench.EvalReport(runs=runs).fraction_aggregates
     keys = [(row["fraction"], row["model_tag"]) for row in table]
     assert keys == [(0.2, "b"), (0.2, "a"), (0.4, "b"), (0.4, "a")]
     row = table[0]

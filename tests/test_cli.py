@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import finnets
-from finnets import bench, engine, features, signals
+from finnets import bench, engine, features, report, signals
 from finnets.cli import EXIT_CONFIG, _config_actions, build_parser, main
+from finnets.nets import TrainConfig
+from finnets.rng import derive_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -143,6 +145,11 @@ def test_inspect_prints_summary(artifact_path, capsys):
     assert "format_version: 3\n" in out
     header = json.loads(Path(artifact_path).read_bytes().split(b"\n", 1)[0])
     assert f"sha256: {header['sha256']}\n" in out
+    # the oracle's digest follows gen_spec_digest, as line 1 of the file records it
+    assert header["oracle_digest"] == features.oracle_digest("entropy")
+    lines = out.splitlines()
+    at = lines.index(f"gen_spec_digest: {header['gen_spec_digest']}")
+    assert lines[at + 1] == f"oracle_digest: {header['oracle_digest']}"
 
 
 def test_inspect_corrupt_file(tmp_path, capsys):
@@ -523,6 +530,31 @@ def test_bench_counting_contract(tmp_path, capsys):
     assert cfg["repeats"] == 2
 
 
+def test_library_report_writes_the_rows_fin_bench_writes(tmp_path, capsys):
+    """`emit_report(run_benchmark(...))`, with no other call, writes the
+    model comparisons that `fin bench` writes for the same run."""
+    code = main(BENCH_BASE + [
+        "--repeats", "2", "--models", "knn,linear-margin",
+        "--out-dir", str(tmp_path / "cli"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    data = bench.make_feature_threshold_task(
+        "entropy", n_items=60, rho=0.05, seed=derive_seed(1, "task"))
+    plan = bench.SplitPlan(mode="repeated_random", repeats=2, seed=1)
+    models = [bench.KnnModel("knn", k=5), bench.LinearMarginModel("linear-margin")]
+    rep = bench.run_benchmark(data, plan, models, TrainConfig(seed=1))
+    report.emit_report(rep, tmp_path / "lib")
+    want = json.loads((tmp_path / "cli" / "report.json").read_text())["stats"]
+    got = json.loads((tmp_path / "lib" / "report.json").read_text())["stats"]
+    assert [(r["test_name"], r["groups"]) for r in want] == [
+        ("welch_one_tailed_greater", "knn vs linear-margin"),
+        ("levene", "knn vs linear-margin"),
+    ]
+    assert got == want
+    assert rep.stats == want  # each read computes the same rows, never more
+
+
 def test_bench_fraction_sweep_outputs(tmp_path, capsys):
     code = main(BENCH_BASE + [
         "--repeats", "2", "--models", "knn,linear-margin",
@@ -553,6 +585,9 @@ def test_bench_zero_timing_reports_are_identical(artifact_path, tmp_path, capsys
     capsys.readouterr()
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    runs = read_rows(outs[0] / "runs.csv")
+    seconds = runs[0].index("train_seconds")
+    assert [r[seconds] for r in runs[1:]] == ["0"] * 4
 
 
 def test_bench_search_model_writes_records(tmp_path, capsys):

@@ -106,8 +106,11 @@ def test_backprop_matches_finite_differences():
 def test_backprop_shape_errors():
     ce_net = nets.init_random(nets.Topology((3, 4, 2), ("tanh", "softmax")), 0)
     x = np.ones((4, 3))
-    with pytest.raises(ShapeError):
-        nets.backprop(ce_net, x, np.ones((3, 2)))
+    model = nets.DenseModel(ce_net)
+    with pytest.raises(ShapeError, match="batch size"):
+        model.loss_and_grads(x, np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="target dim"):
+        model.loss_and_grads(x, np.ones((4, 3)))
 
 
 @pytest.mark.parametrize("final, loss", [

@@ -1,5 +1,6 @@
 """README's code samples run as written."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,6 @@ def test_library_use_snippet_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert 0.0 <= float(proc.stdout) <= 1.0, proc.stdout
+    # emit_report alone writes the fin-vs-knn comparison rows
+    doc = json.loads((tmp_path / "runs" / "library-bench" / "report.json").read_text())
+    assert [row["groups"] for row in doc["stats"]] == ["fin vs knn"] * 2
