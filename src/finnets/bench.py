@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import engine as en
+from . import features as fe
 from . import nets
 from . import signals as sg
 from . import stats as st
@@ -131,14 +132,16 @@ def _threshold_task(inputs, scores, rho, seed, n_subjects, meta) -> LabeledDatas
 
 def _task_corpus(features, n_items, n_channels, rho, seed, n_subjects, gen):
     """(inputs, {feature: per-item value}) of a task's item grid, after
-    rejecting a size or label noise no builder can honour, before any
-    signal is generated (`n_subjects` None means no subject ids).
+    rejecting an unknown feature, a size or a label noise no builder can
+    honour, before any signal is generated (`n_subjects` None: no ids).
 
     Both come from the corpus front end of `gen` (by default seeded from
     the task seed and the features): signal i * n_channels + c feeds
     channel c of item i, and an item's value is its signals'
     `corpus_targets` averaged over feature components, then channels.
     """
+    for name in features:
+        fe.feature_width(name)
     for name, value in (("n_items", n_items), ("n_channels", n_channels),
                         ("n_subjects", n_subjects)):
         if value is not None and value < 1:
@@ -947,10 +950,11 @@ class EvalReport:
         Models are taken in the order they first appear in `runs`; for each
         pair (a, b), a one-tailed Welch test of a > b and then a Levene test.
         All raw p-values are Bonferroni-corrected together as one family at
-        `ALPHA`. A degenerate pair, such as two models with identical
-        constant accuracy, keeps its row with no p-value and the verdict
-        `degenerate`. Empty unless there are at least two models and each
-        has at least two runs.
+        `ALPHA`. A test that `stats` finds degenerate keeps its row with no
+        p-value and the verdict `degenerate`, outside the family: Welch
+        when both models' accuracies are constant, Levene when neither
+        model's absolute deviations vary, as with two runs each. Empty
+        unless there are at least two models and each has at least two runs.
         """
         samples = {
             tag: np.array([r.accuracy for r in group])

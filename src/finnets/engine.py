@@ -65,8 +65,7 @@ class FinArtifact:
     sha256: str = None  # the digest recorded in the file it was loaded from
 
     def __post_init__(self):
-        if self.feature not in fe.FEATURE_NAMES:
-            raise ValueError(f"unknown feature {self.feature!r}")
+        fe.feature_width(self.feature)
         lo = np.asarray(self.norm_lo, dtype=np.float64)
         hi = np.asarray(self.norm_hi, dtype=np.float64)
         out = self.net.topology.output_dim

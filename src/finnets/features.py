@@ -86,7 +86,8 @@ class Signal:
 
 
 def feature_width(feature: str) -> int:
-    """Output dimension of a feature: 1 for scalars, DEFAULT_N_MFCC for mfcc."""
+    """Output dimension of a feature: 1 for scalars, DEFAULT_N_MFCC for mfcc.
+    The one check of a feature name: every other place asks for the width."""
     if feature not in FEATURE_NAMES:
         raise ValueError(f"unknown feature {feature!r}")
     return DEFAULT_N_MFCC if feature == "mfcc" else 1
@@ -295,8 +296,8 @@ def _regularity_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _oracle(feature: str, length: int, fs: float):
-    """The function of a (rows, length) chunk computing `feature`, after
-    the checks that depend only on the geometry."""
+    """The function of a (rows, length) chunk computing `feature`, one of
+    FEATURE_NAMES, after the checks that depend only on the geometry."""
     if feature == "entropy":
         return _entropy_rows
     if feature == "kurtosis":
@@ -314,11 +315,9 @@ def _oracle(feature: str, length: int, fs: float):
         if length < frame_len:
             raise ValueError(f"signal shorter than one {frame_len}-sample frame")
         return lambda x: _mfcc_rows(x, fs)
-    if feature == "regularity":
-        if length < 2:
-            raise ValueError("regularity needs at least 2 samples")
-        return _regularity_rows
-    raise ValueError(f"unknown feature {feature!r}")
+    if length < 2:  # regularity, the last name
+        raise ValueError("regularity needs at least 2 samples")
+    return _regularity_rows
 
 
 # The module constants each oracle reads, itself or through the helpers
@@ -338,8 +337,7 @@ _ORACLE_CONSTANTS = {
 def oracle_digest(feature: str) -> str:
     """SHA-256 of the feature name and of the value of each constant its
     oracle reads: the `oracle_digest` a `.fin` header records."""
-    if feature not in FEATURE_NAMES:
-        raise ValueError(f"unknown feature {feature!r}")
+    feature_width(feature)
     doc = {"feature": feature,
            "constants": {name: globals()[name] for name in _ORACLE_CONSTANTS[feature]}}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("ascii")).hexdigest()
@@ -361,8 +359,8 @@ def compute_features(samples: np.ndarray, sample_rate: float, feature: str) -> n
         raise ValueError("samples must be (n_signals, length) with length >= 1")
     if not (sample_rate > 0):
         raise ValueError("sample_rate must be positive")
-    oracle = _oracle(feature, x.shape[1], float(sample_rate))
     out = np.empty((x.shape[0], feature_width(feature)))
+    oracle = _oracle(feature, x.shape[1], float(sample_rate))
     for start in range(0, x.shape[0], _ROWS):
         rows = x[start : start + _ROWS]
         finite = np.isfinite(rows).all(axis=1)

@@ -58,9 +58,7 @@ class GenSpec:
     def __post_init__(self):
         if self.length < 64:
             raise ValueError("length must be >= 64")
-        if not (self.sample_rate > 0):
-            raise ValueError("sample_rate must be positive")
-        if not (_tone_top(self.sample_rate) >= CWT_F_MIN):
+        if not (_tone_top(self.sample_rate) >= CWT_F_MIN):  # 0, < 0 and NaN too
             raise ValueError(
                 f"sample_rate must be at least "
                 f"{4.0 * CWT_F_MIN / _TONE_FRACTION:.2f} Hz: below that the tone "

@@ -19,8 +19,8 @@ def levene_test(groups) -> tuple:
     """Levene's W over absolute deviations from each group's mean.
 
     Returns (W, p) with p from F(k-1, N-k). Raises `DegenerateGroups` when
-    every observation sits exactly on its group mean, which leaves the
-    statistic undefined.
+    no group's absolute deviations vary, as in every group of two: W's
+    denominator is then 0 in exact arithmetic, however the means round.
     """
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if len(arrays) < 2 or any(a.size < 2 for a in arrays):
@@ -28,14 +28,12 @@ def levene_test(groups) -> tuple:
     k = len(arrays)
     n_total = sum(a.size for a in arrays)
     devs = [np.abs(a - a.mean()) for a in arrays]
+    if all(d.size == 2 or np.ptp(d) == 0.0 for d in devs):
+        raise DegenerateGroups("no variation in absolute deviations")
     group_means = np.array([d.mean() for d in devs])
     grand = sum(d.sum() for d in devs) / n_total
     numer = sum(d.size * (m - grand) ** 2 for d, m in zip(devs, group_means))
     denom = sum(((d - m) ** 2).sum() for d, m in zip(devs, group_means))
-    if denom == 0.0:
-        if numer == 0.0:
-            raise DegenerateGroups("no variation in absolute deviations")
-        return math.inf, 0.0
     w = (n_total - k) / (k - 1) * numer / denom
     return float(w), float(scipy.special.fdtrc(k - 1, n_total - k, w))
 
@@ -44,6 +42,8 @@ def welch_t_one_tailed(a, b, alternative: str = "greater") -> tuple:
     """Welch's unequal-variance t-test with a one-sided p-value.
 
     alternative "greater" tests mean(a) > mean(b); "less" the reverse.
+    Raises `DegenerateGroups` when both samples are constant, however
+    their means round.
     """
     if alternative not in ("greater", "less"):
         raise ValueError("alternative must be 'greater' or 'less'")
@@ -51,9 +51,9 @@ def welch_t_one_tailed(a, b, alternative: str = "greater") -> tuple:
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("each sample needs at least two observations")
+    if np.ptp(a) == 0.0 and np.ptp(b) == 0.0:
+        raise DegenerateGroups("both samples are constant")
     va, vb = a.var(ddof=1), b.var(ddof=1)
-    if va == 0.0 and vb == 0.0:
-        raise DegenerateGroups("both samples have zero variance")
     sa, sb = va / a.size, vb / b.size
     se = math.sqrt(sa + sb)
     t = (a.mean() - b.mean()) / se

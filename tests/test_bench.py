@@ -388,6 +388,23 @@ def test_threshold_task_validation():
         bench.make_feature_threshold_task("entropy", n_items=24, rho=-0.1, gen=SMALL_GEN)
 
 
+def test_task_builders_refuse_an_unknown_feature_before_any_signal(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def no_corpus(gen, n_signals):
+        raise Reached
+
+    monkeypatch.setattr(engine, "corpus_inputs", no_corpus)
+    for build in (lambda name: bench.make_feature_threshold_task(name, n_items=24),
+                  lambda name: bench.make_multi_feature_task(["entropy", name], n_items=24)):
+        with pytest.raises(ValueError) as info:
+            build("loudness")
+        assert str(info.value) == "unknown feature 'loudness'"
+        with pytest.raises(Reached):  # control: a valid name reaches the front end
+            build("kurtosis")
+
+
 def test_multi_feature_task_rule():
     data = bench.make_multi_feature_task(
         ("entropy", "kurtosis"), n_channels=2, n_items=20, rho=0.0, seed=8,

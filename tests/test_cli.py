@@ -84,6 +84,52 @@ def test_pretrain_validation(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_feature_flags_take_the_six_names_as_choices(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --feature was checked")
+
+    monkeypatch.setattr(engine, "pretrain_fin", no_work)
+    monkeypatch.setattr(features, "compute_features", no_work)
+    for argv in (["pretrain", "--feature", "loudness", "--out", "x.fin",
+                  "--out-dir", str(tmp_path)],
+                 ["oracle", "--feature", "loudness", "--demo", "noise"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "argument --feature: invalid choice: 'loudness'" in captured.err
+        assert captured.out == ""
+    names = "{" + ",".join(features.FEATURE_NAMES) + "}"
+    for command in ("pretrain", "oracle"):
+        assert main([command, "--help"]) == 0
+        assert f"--feature {names}" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
+
+
+def test_pretrain_requires_feature_and_out_by_name(tmp_path, monkeypatch, capsys):
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("pretrained without a required flag")
+
+    monkeypatch.setattr(engine, "pretrain_fin", no_pretrain)
+    base = ["pretrain", "--out-dir", str(tmp_path)]
+    for argv, flag in ((base + ["--out", "x.fin"], "--feature"),
+                       (base + ["--feature", "entropy"], "--out")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} is required\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_config_feature_is_checked_before_any_signal(tmp_path, monkeypatch, capsys):
+    # argparse never checks a default, so a file's feature meets the library's rule
+    def no_signals(*args, **kwargs):
+        raise AssertionError("signals generated before the feature was checked")
+
+    monkeypatch.setattr(signals, "generate_rows", no_signals)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"feature": "loudness", "out": "x.fin"}))
+    assert main(["pretrain", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown feature 'loudness'\n"
+    assert not (tmp_path / "x.fin").exists()
+
+
 def test_pretrain_checks_its_artifact_path_before_training(tmp_path, monkeypatch, capsys):
     def no_pretrain(*args, **kwargs):
         raise AssertionError("pretrained before the artifact path was checked")
@@ -354,6 +400,28 @@ def test_oracle_signals_csv(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_oracle_signals_csv_needs_its_index_header_and_two_samples_a_row(tmp_path, capsys):
+    path = tmp_path / "sig.csv"
+    rows = [signals.generate(signals.GenSpec(seed=88), i).samples for i in range(2)]
+    write_signals_csv(path, rows)
+    argv = ["oracle", "--feature", "entropy", "--signals-csv", str(path)]
+    assert main(argv) == 0  # control
+    capsys.readouterr()
+    text = path.read_text().splitlines()
+    # a header that does not start with `index` is not taken as one
+    path.write_text("\n".join(["time" + text[0][len("index"):]] + text[1:]) + "\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: row 1: signal CSV must start with an index column\n"
+    assert captured.out == ""
+    # a row of one sample, which entropy alone would score 0 bits
+    path.write_text("\n".join(text[:2] + ["1,0.5"]) + "\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: row 3: signal needs at least two samples\n"
+    assert captured.out == ""
+
+
 def test_oracle_signals_csv_numbers_are_plain_ascii(tmp_path, capsys):
     # Python's `float` takes "1_0" as 10.0 and Arabic-Indic "\u0661" as 1.0;
     # the dataset CSV's number rule refuses both
@@ -506,6 +574,34 @@ BENCH_BASE = [
     "bench", "--task", "feature-threshold:entropy", "--items", "60",
     "--seed", "1",
 ]
+
+
+@pytest.mark.parametrize("task", ["feature-threshold:loudness",
+                                  "multi-feature:entropy,loudness"])
+def test_bench_task_with_an_unknown_feature_exits_before_any_signal(
+        task, tmp_path, monkeypatch, capsys):
+    def no_signals(*args, **kwargs):
+        raise AssertionError("signals generated before the task's features were checked")
+
+    monkeypatch.setattr(signals, "generate_rows", no_signals)
+    code = main(["bench", "--task", task, "--items", "60", "--models", "knn",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown feature 'loudness'\n"
+    assert (tmp_path / "FAILED").read_text() == "ValueError: unknown feature 'loudness'\n"
+
+
+def test_bench_protocol_takes_its_two_hyphenated_names(tmp_path, monkeypatch, capsys):
+    def no_task(*args, **kwargs):
+        raise AssertionError("task built before --protocol was checked")
+
+    monkeypatch.setattr(bench, "make_feature_threshold_task", no_task)
+    # the underscored spelling is SplitPlan's mode name, not a protocol
+    for protocol in ("repeated_random", "leave_subjects_out", "bootstrap"):
+        assert main(BENCH_BASE + ["--models", "knn", "--protocol", protocol,
+                                  "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --protocol must be repeated-random or leave-subjects-out\n")
 
 
 def test_bench_counting_contract(tmp_path, capsys):

@@ -674,6 +674,14 @@ def test_artifact_gen_spec_digest_is_64_hex_in_memory_too():
             engine.FinArtifact("entropy", net, np.zeros(1), np.ones(1), digest, {})
 
 
+def test_artifact_feature_is_checked_by_the_one_name_rule():
+    net = nets.init_random(nets.Topology((8, 4, 1), ("relu", "linear")), 0)
+    with pytest.raises(ValueError) as info:
+        engine.FinArtifact("loudness", net, np.zeros(1), np.ones(1), "0" * 64, {})
+    assert str(info.value) == "unknown feature 'loudness'"
+    engine.FinArtifact("entropy", net, np.zeros(1), np.ones(1), "0" * 64, {})  # control
+
+
 # ---------------------------------------------------------------------------
 # transfer mechanics
 # ---------------------------------------------------------------------------

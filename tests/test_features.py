@@ -455,3 +455,43 @@ def test_signal_validation():
         fe.Signal(np.array([1.0, np.nan]), FS)
     with pytest.raises(ValueError):
         fe.Signal(np.ones(4), 0.0)
+
+
+def test_one_name_rule_refuses_an_unknown_feature_everywhere():
+    # feature_width states the rule; the others ask it before any work
+    x = np.linspace(-1.0, 1.0, 64)[None, :]
+    calls = (
+        lambda: fe.feature_width("loudness"),
+        lambda: fe.oracle_digest("loudness"),
+        lambda: fe.compute_features(x, FS, "loudness"),
+        lambda: fe.compute_feature(make_signal(x[0]), "loudness"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "unknown feature 'loudness'"
+    # controls: every name of FEATURE_NAMES passes all four
+    for name in fe.FEATURE_NAMES:
+        assert fe.feature_width(name) == fe.compute_features(x, FS, name).shape[1]
+        assert len(fe.oracle_digest(name)) == 64
+
+
+def test_moment_and_regularity_length_floors():
+    # one sample short of each floor is refused by name; the floor itself runs
+    for feature, floor in (("kurtosis", 4), ("skewness", 3), ("regularity", 2)):
+        short = np.arange(floor - 1, dtype=np.float64)[None, :] + 1.0
+        with pytest.raises(ValueError, match=f"{feature} needs at least {floor} samples"):
+            fe.compute_features(short, FS, feature)
+        value = fe.compute_features(np.arange(floor, dtype=np.float64)[None, :] + 1.0,
+                                    FS, feature)
+        assert value.shape == (1, 1) and np.isfinite(value).all()
+
+
+@pytest.mark.parametrize("fs", [0.0, -1.0, np.nan])
+def test_compute_features_refuses_a_sample_rate_that_is_not_positive(fs):
+    x = corpus(2)[0].samples[None, :]
+    # without the check, f0 at -1 Hz reads 0.0 Hz, "aperiodic", without an error
+    for feature in ("f0", "entropy"):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            fe.compute_features(x, fs, feature)
+    assert fe.compute_features(x, FS, "f0").shape == (1, 1)  # control

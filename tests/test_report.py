@@ -100,13 +100,13 @@ def test_add_model_comparisons_degenerate_rows():
     json.dumps(rows)
 
 
-def three_model_report(runs_of_last=2):
-    """Models z, a, m (in that order, not sorted) with two runs each, or
-    one run of the last model."""
+def three_model_report(runs_of_last=3):
+    """Models z, a, m (in that order, not sorted) with three runs each, or
+    `runs_of_last` runs of the last model."""
     rng = np.random.default_rng(np.random.PCG64(8))
     means = {"z": 0.9, "a": 0.7, "m": 0.5}
     runs = []
-    for k in range(2):
+    for k in range(3):
         for tag in ("z", "a", "m")[: 3 if k < runs_of_last else 2]:
             acc = means[tag] + rng.normal() * 0.05
             runs.append(run_record(len(runs), tag, k, 1.0, acc, 0.0))
@@ -133,6 +133,31 @@ def test_comparisons_cover_every_pair_in_run_order():
         assert row["corrected_p"] == min(1.0, 6 * row["p_value"])
         verdict = "significant" if row["corrected_p"] < 0.05 else "not_significant"
         assert row["verdict"] == verdict
+
+
+def test_two_runs_per_model_leave_levene_degenerate():
+    # `fin bench --task feature-threshold:entropy --items 60 --seed 1
+    # --repeats 2 --models knn,linear-margin` ran these accuracies; its
+    # Levene row read W = 1.0016e+30 and `significant`
+    acc = {"knn": [0.66666666666666663, 0.55555555555555558],
+           "linear-margin": [0.55555555555555558] * 2, "m": [0.5, 0.75]}
+    runs = [run_record(3 * k + j, tag, k, 1.0, acc[tag][k], 0.0)
+            for k in range(2) for j, tag in enumerate(acc)]
+    rows = bench.EvalReport(runs=runs).stats
+    assert [(r["test_name"], r["groups"]) for r in rows] == [
+        ("welch_one_tailed_greater", "knn vs linear-margin"), ("levene", "knn vs linear-margin"),
+        ("welch_one_tailed_greater", "knn vs m"), ("levene", "knn vs m"),
+        ("welch_one_tailed_greater", "linear-margin vs m"), ("levene", "linear-margin vs m"),
+    ]
+    for row in rows[1::2]:
+        assert (row["statistic"], row["p_value"], row["corrected_p"], row["verdict"]) == (
+            None, None, None, "degenerate")
+    # the Bonferroni family is the three Welch rows alone
+    for row in rows[0::2]:
+        a, b = (acc[t] for t in row["groups"].split(" vs "))
+        assert (row["statistic"], row["p_value"]) == stats.welch_t_one_tailed(a, b, "greater")
+        assert row["corrected_p"] == min(1.0, 3 * row["p_value"])
+        assert row["verdict"] in ("significant", "not_significant")
 
 
 def test_no_comparisons_when_a_model_has_one_run():

@@ -136,6 +136,13 @@ def test_gen_spec_sample_rate_floor():
             sg.GenSpec(length=64, sample_rate=fs, family_weights=tones)
 
 
+@pytest.mark.parametrize("fs", [0.0, -128.0, np.nan])
+def test_gen_spec_tone_band_rule_refuses_every_rate_that_is_not_positive(fs):
+    # the tone-band rule is the only sample-rate rule
+    with pytest.raises(ValueError, match=r"sample_rate must be at least 4\.21 Hz"):
+        sg.GenSpec(sample_rate=fs)
+
+
 def test_single_family_weights_steer_generation():
     # pure white noise: excess kurtosis of each signal hovers near 0
     spec = sg.GenSpec(seed=8, family_weights={"white_noise": 1.0})
@@ -187,6 +194,17 @@ def test_unit_amplitude_tone_has_unit_response():
 def test_short_signal_rejected_by_transform():
     with pytest.raises(ValueError):
         sg.wavelet_transform(Signal(np.ones(16) + np.arange(16), 128.0))
+
+
+def test_scalograms_name_their_shape_rules():
+    x = np.sin(np.arange(64.0))
+    with pytest.raises(ValueError, match=r"samples must be \(n_signals, length\)"):
+        sg.scalograms(x, 128.0)
+    with pytest.raises(ValueError, match="signal shorter than the 32-frame grid"):
+        sg.scalograms(x[None, :31], 128.0)
+    # controls: one row of 32 samples, the grid itself, runs
+    mags = sg.scalograms(x[None, :32], 128.0)
+    assert mags.shape == (1, sg.DEFAULT_N_SCALES, sg.DEFAULT_N_FRAMES)
 
 
 def _reference_transform(x, fs):

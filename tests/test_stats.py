@@ -54,9 +54,38 @@ def test_levene_degenerate_groups():
         stats.levene_test([[1.0, 1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError):
         stats.levene_test([[1.0, 2.0]])
-    # identical deviations within groups but different between them
-    w, p = stats.levene_test([[0.0, 2.0], [0.0, 8.0]])
-    assert w == np.inf and p == 0.0
+    # identical deviations within groups but different between them: the
+    # within-group sum of squares is 0, so W is undefined, not infinite
+    with pytest.raises(DegenerateGroups):
+        stats.levene_test([[0.0, 2.0], [0.0, 8.0]])
+
+
+def test_levene_size_guard_names_its_rule():
+    for groups in ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], [4.0]], []):
+        with pytest.raises(ValueError, match="need at least two groups of two observations"):
+            stats.levene_test(groups)
+
+
+def test_levene_degeneracy_is_decided_from_the_samples():
+    # the accuracies of a two-run knn against a constant linear-margin: the
+    # rounded means leave a within-group sum of squares near 1e-33, which
+    # read as W = 1.0016e+30 and p = 9.98e-31
+    knn, margin = [0.66666666666666663, 0.55555555555555558], [0.55555555555555558] * 2
+    for groups in ([knn, margin], [knn, [0.5, 0.75]], [knn, knn, [0.1, 0.9]]):
+        with pytest.raises(DegenerateGroups):
+            stats.levene_test(groups)
+    # constant groups whose means do and do not round: (inf, 0.0) before
+    for groups in ([[0.1] * 3, [0.2] * 3], [[0.5] * 3, [0.25] * 4], [[0.2] * 3, knn]):
+        with pytest.raises(DegenerateGroups):
+            stats.levene_test(groups)
+    # controls: groups of three with varying deviations, and one constant
+    # group beside a varying one, still give scipy's W
+    for groups in ([[0.1, 0.2, 0.4], [0.3, 0.35, 0.5]], [[0.2] * 3, [0.1, 0.2, 0.4]],
+                   [knn, [0.1, 0.2, 0.4]]):
+        w, p = stats.levene_test(groups)
+        want = scipy.stats.levene(*groups, center="mean")
+        assert w == pytest.approx(float(want.statistic), rel=1e-9)
+        assert 0.0 < p <= 1.0
 
 
 def test_welch_textbook_example():
@@ -116,12 +145,38 @@ def test_welch_degenerate_and_bad_alternative():
         stats.welch_t_one_tailed([1.0, 2.0], [3.0, 4.0], alternative="two-sided")
 
 
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")  # scipy, on [0.2] * 3
+def test_welch_two_constant_samples_are_degenerate_whatever_their_means():
+    # var([0.2] * 3) is 1.2e-33, not 0, because the mean rounds: t read 4.6e15
+    assert np.var([0.2] * 3, ddof=1) > 0.0
+    for a, b in (([0.2] * 3, [0.1] * 3), ([0.5] * 3, [0.25] * 3), ([0.1] * 2, [0.3] * 4)):
+        for alternative in ("greater", "less"):
+            with pytest.raises(DegenerateGroups, match="both samples are constant"):
+                stats.welch_t_one_tailed(a, b, alternative)
+    # control: a constant sample against a varying one gives scipy's finite t
+    a, b = [0.2] * 3, [0.1, 0.12, 0.15]
+    t, p = stats.welch_t_one_tailed(a, b, "greater")
+    want = scipy.stats.ttest_ind(a, b, equal_var=False, alternative="greater")
+    assert math.isfinite(t) and t == pytest.approx(float(want.statistic), rel=1e-9)
+    assert p == pytest.approx(float(want.pvalue), rel=1e-9, abs=0.0)
+
+
+def test_welch_size_guard_names_its_rule():
+    for a, b in (([1.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [])):
+        with pytest.raises(ValueError, match="each sample needs at least two observations"):
+            stats.welch_t_one_tailed(a, b)
+
+
 def test_bonferroni():
     assert stats.bonferroni([0.01, 0.4]) == [0.02, 0.8]
     assert stats.bonferroni([0.6, 0.5, 0.9]) == [1.0, 1.0, 1.0]
     assert stats.bonferroni([]) == []
     corrected = stats.bonferroni([0.03])
     assert corrected == [0.03]
+    for ps in ([1.5], [0.2, -0.1]):
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            stats.bonferroni(ps)
+    assert stats.bonferroni([0.0, 1.0]) == [0.0, 1.0]
 
 
 def test_sign_test_exact_binomial():
