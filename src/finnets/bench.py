@@ -745,8 +745,6 @@ class RandomDenseModel(_FineTunedModel):
         self.topology = topology
 
     def _build(self, data, run_seed):
-        if self.topology.input_dim != data.tf_dim:
-            raise ShapeError("topology input dim must match tf_dim")
         if self.topology.output_dim != data.n_classes:
             raise ShapeError("topology output dim must match n_classes")
         return nets.init_random(self.topology, derive_seed(run_seed, "baseline-init"))

@@ -33,7 +33,6 @@ from .errors import (
     CorpusDegenerateError,
     DivergedError,
     IngestError,
-    SplitError,
     UnsupportedVersion,
 )
 from .report import _fmt
@@ -48,7 +47,7 @@ EXIT_IO = 4
 GRADCHECK_TOLERANCE = 1e-4
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Invalid flags or config; maps to exit code 2."""
 
 
@@ -562,16 +561,13 @@ def main(argv=None) -> int:
             args.parser.set_defaults(**_read_config(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (CorruptArtifact, UnsupportedVersion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DivergedError as exc:
         print(f"error: training diverged at epoch {exc.epoch}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (IngestError, SplitError, CorpusDegenerateError, ValueError) as exc:
+    except (CorpusDegenerateError, ValueError) as exc:  # CliError, IngestError, SplitError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -151,7 +151,9 @@ def pretrain_fin(
     into [0,1] with a percentile range fitted on the training portion, and
     the returned artifact carries the best-validation-epoch parameters.
     `corpus` may carry a precomputed (inputs, raw_targets) pair for the
-    same `gen` (from the corpus_* helpers), overriding `n_signals`.
+    same `gen` (from the corpus_* helpers), overriding `n_signals`. A
+    `topology` whose end sizes do not fit the corpus inputs and the
+    feature width is the `ShapeError` of the first training step.
     """
     width = fe.feature_width(feature)
     if corpus is not None:
@@ -166,10 +168,6 @@ def pretrain_fin(
         raw_targets = corpus_targets(feature, gen, n_signals)
     if topology is None:
         topology = default_fin_topology(inputs.shape[1], width)
-    if topology.input_dim != inputs.shape[1]:
-        raise ShapeError("topology input dim must match the flattened scalogram")
-    if topology.output_dim != width:
-        raise ShapeError("topology output dim must match the feature width")
 
     train_idx, val_idx = split_indices(cfg.seed, n_signals)
     lo, hi = normalization_range(raw_targets[train_idx])

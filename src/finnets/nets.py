@@ -119,7 +119,9 @@ class DenseNet:
     [W0, b0, W1, b1, ...], and `weights`/`biases` are views of it. With
     `buffer` given, the parameters are copied into that flat array
     instead, in its dtype: an ensemble places its branches in its own
-    buffer that way, and gradcheck builds its float64 copy.
+    buffer that way, and gradcheck builds its float64 copy. A layer count,
+    parameter shape or `buffer` shape that does not fit `topology` is a
+    `ShapeError`, and a parameter that is not finite a `ValueError`.
     """
 
     topology: Topology
@@ -417,7 +419,8 @@ def fit(model, train_xy, val_xy, cfg: TrainConfig) -> TrainHistory:
     Shuffles with a per-epoch stream derived from (cfg.seed, epoch),
     tracks validation loss after every epoch, and restores the parameters
     of the best validation epoch before returning. Raises `DivergedError`
-    on a non-finite training or validation loss.
+    on a non-finite training or validation loss, and `ValueError` on an
+    empty training or validation set.
 
     Inputs and training targets are cast once to the parameters' dtype.
     Validation targets are kept as given, so the validation loss is

@@ -63,9 +63,10 @@ def welch_t_one_tailed(a, b, alternative: str = "greater") -> tuple:
 
 
 def bonferroni(p_values) -> list:
-    """min(1, p·m) for each of the m p-values."""
+    """min(1, p·m) for each of the m p-values. A p-value outside [0, 1],
+    NaN included, is a `ValueError`."""
     ps = [float(p) for p in p_values]
-    if any(p < 0.0 or p > 1.0 for p in ps):
+    if any(not (0.0 <= p <= 1.0) for p in ps):
         raise ValueError("p-values must lie in [0, 1]")
     m = len(ps)
     return [min(1.0, p * m) for p in ps]

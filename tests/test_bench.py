@@ -57,6 +57,11 @@ def test_dataset_validation_errors():
         bench.LabeledDataset(good, labels, 1)
     with pytest.raises(ValueError):
         bench.LabeledDataset(good, labels + 1, 2)
+    with pytest.raises(ValueError, match="need at least two classes"):
+        bench.LabeledDataset(good, np.zeros(8), 1)  # one class, every label in range
+    for bad in ([0, 0, 1, 1, 2, 2, 0, 1], [-1, -1, 0, 0, 1, 1, 0, 1]):  # classes of two or more
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, n_classes\)"):
+            bench.LabeledDataset(good, np.array(bad), 2)
     with pytest.raises(ValueError):
         # class 1 has a single item
         bench.LabeledDataset(good, np.array([0, 0, 0, 0, 0, 0, 0, 1]), 2)
@@ -206,6 +211,8 @@ def test_loso_enumerates_ordered_pairs():
         few = toy_dataset(n_items=40, n_subjects=n_subjects)
         with pytest.raises(SplitError, match="at least three subjects"):
             bench.run_benchmark(few, plan, [bench.KnnModel(k=1)], cfg)
+    with pytest.raises(SplitError, match="leave_subjects_out needs subject ids"):
+        bench.run_benchmark(toy_dataset(n_items=40), plan, [bench.KnnModel(k=1)], cfg)
 
 
 def test_stratified_subsample_counts():
@@ -232,10 +239,9 @@ def test_stratified_subsample_counts():
 def test_stratified_subsample_errors():
     labels = np.array([0] * 30 + [1] * 20)
     idx = np.arange(50)
-    with pytest.raises(ValueError):
-        bench.stratified_subsample(labels, idx, 0.0, (0,))
-    with pytest.raises(ValueError):
-        bench.stratified_subsample(labels, idx, 1.5, (0,))
+    for fraction in (0.0, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"fraction must lie in \(0, 1\]"):
+            bench.stratified_subsample(labels, idx, fraction, (0,))
     with pytest.raises(SplitError):
         bench.stratified_subsample(labels, idx, 0.01, (0,))
 
@@ -403,6 +409,16 @@ def test_task_builders_refuse_an_unknown_feature_before_any_signal(monkeypatch):
         assert str(info.value) == "unknown feature 'loudness'"
         with pytest.raises(Reached):  # control: a valid name reaches the front end
             build("kurtosis")
+    # so does each size floor
+    for build in (lambda **sizes: bench.make_feature_threshold_task("kurtosis", **sizes),
+                  lambda **sizes: bench.make_multi_feature_task(["entropy", "kurtosis"], **sizes)):
+        for name in ("n_items", "n_channels", "n_subjects"):
+            sizes = {"n_items": 24, "n_channels": 1, "n_subjects": 2, name: 0}
+            with pytest.raises(ValueError) as info:
+                build(**sizes)
+            assert str(info.value) == f"{name} must be at least 1, got 0"
+            with pytest.raises(Reached):  # control
+                build(**{**sizes, name: 1})
 
 
 def test_multi_feature_task_rule():
@@ -1008,6 +1024,23 @@ def test_ingest_error_rows(tmp_path):
     assert ingest_error(tmp_path, "mixed.csv", mixed) == 3  # item 1's first row
     badsub = HEADER + "0,x,0,0,1.0,2.0\n1,y,1,0,1.0,2.0\n"
     assert ingest_error(tmp_path, "badsub.csv", badsub) == 2
+
+
+def test_ingest_reraises_a_numpy_error_the_csv_pass_does_not_name(tmp_path, monkeypatch):
+    # no file is known that np.loadtxt refuses and csv.reader reads cleanly,
+    # so a stand-in loadtxt refuses a valid one
+    rows = "".join(f"{i},,{i % 2},0,1.0,2.0\n" for i in range(4))
+    path = write_csv(tmp_path, "ok.csv", HEADER + rows)
+    assert bench.ingest_dataset_csv(path).n_items == 4  # control
+    loadtxt = np.loadtxt
+
+    def refuse(*args, **kwargs):
+        loadtxt(*args, **kwargs)  # drains the lines as the real call does
+        raise ValueError("stand-in loadtxt refusal")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    with pytest.raises(ValueError, match="stand-in loadtxt refusal"):
+        bench.ingest_dataset_csv(path)
 
 
 def test_ingest_rejects_non_finite_values(tmp_path):

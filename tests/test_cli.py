@@ -873,6 +873,14 @@ def test_bench_csv_task(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_cli_error_exits_2_and_names_its_type_in_the_marker(tmp_path, capsys):
+    # CliError is a ValueError, and main maps the two by one clause
+    code = main(BENCH_BASE + ["--models", "knn,forest", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG == 2
+    assert capsys.readouterr().err == "error: unknown model tag 'forest'\n"
+    assert (tmp_path / "FAILED").read_text() == "CliError: unknown model tag 'forest'\n"
+
+
 @pytest.mark.parametrize("models, extra, code, message", [
     ("knn,forest", [], 2, "unknown model tag 'forest'"),
     (",", [], 2, "--models must name at least one model"),

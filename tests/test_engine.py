@@ -66,6 +66,11 @@ def test_split_indices_partition():
     assert sorted(np.concatenate([train, val])) == list(range(200))
     train2, val2 = engine.split_indices(3, 200)
     np.testing.assert_array_equal(val, val2)
+    # round(0.15 * 3) = 0 would leave validation empty; 4 gives it one item
+    with pytest.raises(ValueError, match="corpus too small to split"):
+        engine.split_indices(0, 3)
+    train, val = engine.split_indices(0, 4)
+    assert len(val) == 1 and sorted(np.concatenate([train, val])) == [0, 1, 2, 3]
 
 
 def test_normalization_range_percentiles_and_degeneracy():
@@ -159,6 +164,17 @@ def test_pretrain_corpus_shape_validation():
             cfg=TINY_CFG,
             corpus=(inputs, np.ones((39, 1))),
         )
+
+
+def test_pretrain_topology_that_does_not_fit_is_the_first_steps_shape_error():
+    rng = rng_for(6, "topology-fit")
+    corpus = (rng.standard_normal((40, 1024)), rng.standard_normal((40, 1)))
+    for sizes, match in (((1000, 4, 1), "input dim 1024 != network input 1000"),
+                         ((1024, 4, 2), "target dim does not match network output")):
+        topology = nets.Topology(sizes, ("relu", "linear"))
+        with pytest.raises(ShapeError, match=match):
+            engine.pretrain_fin("entropy", TINY_GEN, topology=topology, cfg=TINY_CFG,
+                                corpus=corpus)
 
 
 def test_pretraining_beats_untrained_reconstruction(tiny_artifact):
@@ -601,13 +617,21 @@ def integer_norm_hi(path):
     rewrite_header(path, lambda doc: doc.update(norm_hi=[int(v) + 1 for v in doc["norm_hi"]]))
 
 
+def header_line(line):
+    """Replace the header line, keeping the payload."""
+    return lambda path: path.write_bytes(line + b"\n" + split_fin(path)[1])
+
+
 @pytest.mark.parametrize("tamper, match", [
     (add_key("scalogram_digest"), "header field scalogram_digest "),
     (add_key("topology", "padding"), "header field topology.padding "),
     (add_key("history_summary", "seed"), "header field history_summary.seed "),
     (integer_norm_hi, "header field norm_hi "),
     (spaced_line, "header line"),
-], ids=["top-level-key", "topology-key", "history-key", "integer-norm-hi", "spaced-line"])
+    (header_line(b"[1]"), "artifact header must be an object"),
+    (header_line(b"null"), "artifact header must be an object"),
+], ids=["top-level-key", "topology-key", "history-key", "integer-norm-hi", "spaced-line",
+        "list-header", "null-header"])
 def test_headers_save_fin_never_writes_are_corrupt(tiny_artifact, tmp_path, tamper, match):
     path = saved(tiny_artifact, tmp_path)
     engine.load_fin(path)  # the untouched file is the clean control
@@ -711,6 +735,17 @@ def test_attach_head_seed_isolation(tiny_artifact):
         engine.attach_head(tiny_artifact, 1, seed=0)
 
 
+def test_attach_head_needs_a_body_below_the_regression_layer():
+    one_layer = engine.FinArtifact(
+        "entropy", nets.init_random(nets.Topology((4, 1), ("linear",)), 0),
+        np.zeros(1), np.ones(1), "0" * 64, {})
+    # without a body the head would be a softmax straight on the input
+    with pytest.raises(ShapeError, match="at least two layers"):
+        engine.attach_head(one_layer, 2, seed=0)
+    net = engine.attach_head(fake_artifact("entropy", 1, 0, in_dim=4), 2, seed=0)  # control
+    assert net.topology == nets.Topology((4, 8, 2), ("relu", "softmax"))
+
+
 def test_ensemble_head_dimension_arithmetic():
     arts = [
         fake_artifact("entropy", 1, 1),
@@ -735,6 +770,20 @@ def test_ensemble_head_dimension_arithmetic():
         ens = engine.build_ensemble(arts, channels, classes, seed=1)
         assert ens.head_input_dim == channels * sum(widths)
         assert ens.head_w.shape == (classes, ens.head_input_dim)
+
+
+def test_ensemble_needs_a_channel_and_two_classes():
+    arts = [fake_artifact("entropy", 1, 5)]
+    # zero channels would leave the head no input: it answers [0.5, 0.5] for anything
+    with pytest.raises(ValueError, match="n_channels must be positive"):
+        engine.build_ensemble(arts, n_channels=0, n_classes=2, seed=0)
+    with pytest.raises(ValueError, match="n_channels must be positive"):
+        engine.EnsembleNet([arts[0].net], 0, np.zeros((2, 0)), np.zeros(2))
+    # one class would give a head that always outputs 1
+    with pytest.raises(ValueError, match="need at least two classes"):
+        engine.build_ensemble(arts, n_channels=1, n_classes=1, seed=0)
+    ens = engine.build_ensemble(arts, n_channels=1, n_classes=2, seed=0)  # control
+    assert (ens.n_channels, ens.class_count, ens.head_input_dim) == (1, 2, 1)
 
 
 def test_ensemble_class_count_is_its_heads():

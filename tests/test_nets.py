@@ -41,6 +41,32 @@ def test_count_params():
     assert nets.count_params(default) == 672641
 
 
+def test_dense_net_refuses_parameters_that_do_not_fit_its_topology():
+    topo = tiny_topology()  # 26 parameters
+    good = nets.init_random(topo, 0)
+    w, b = good.weights, good.biases
+    for size in (100, 25):
+        with pytest.raises(ShapeError, match=r"parameter buffer must have shape \(26,\)"):
+            nets.DenseNet(topo, w, b, buffer=np.zeros(size, dtype=np.float32))
+    # one layer short: the last layer would keep uninitialised memory
+    for weights, biases in ((w[:1], b[:1]), (w[:1], b), (w, b[:1])):
+        with pytest.raises(ShapeError, match="layer count mismatch"):
+            nets.DenseNet(topo, weights, biases)
+    # (1,) biases would broadcast over each layer
+    with pytest.raises(ShapeError, match="layer 0 parameter shape mismatch"):
+        nets.DenseNet(topo, w, [np.zeros(1), np.zeros(1)])
+    for bad in (np.nan, np.inf):
+        weights = [w[0], w[1].copy()]
+        weights[1][2, 1] = bad
+        with pytest.raises(ValueError, match="layer 1 parameters must be finite"):
+            nets.DenseNet(topo, weights, b)
+    # control: the fitting parameters load into a buffer of the right size
+    buffer = np.zeros(26, dtype=np.float32)
+    net = nets.DenseNet(topo, w, b, buffer=buffer)
+    assert net.buffer is buffer
+    assert np.array_equal(buffer, good.buffer)
+
+
 def test_init_random_deterministic_and_bounded():
     topo = nets.Topology((8, 6, 3), ("relu", "linear"))
     a = nets.init_random(topo, 42)
@@ -263,6 +289,59 @@ def test_divergence_raises_with_epoch():
     with pytest.raises(DivergedError) as err:
         fit_copy(net, (x, y), (x, y), cfg)
     assert isinstance(err.value.epoch, int)
+
+
+def test_fit_refuses_an_empty_training_or_validation_set():
+    rng = rng_for(8, "empty")
+    x, y = rng.standard_normal((8, 3)), rng.standard_normal((8, 2))
+    cfg = nets.TrainConfig(max_epochs=1, patience=1, seed=0)
+    net = nets.init_random(tiny_topology(), 0)
+    for train_xy, val_xy in (((x[:0], y[:0]), (x, y)), ((x, y), (x[:0], y[:0]))):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            fit_copy(net, train_xy, val_xy, cfg)
+    _, hist = fit_copy(net, (x, y), (x, y), cfg)  # control
+    assert hist.stopped_epoch == 1
+
+
+class ScriptedLossModel:
+    """A model of `fit`'s protocol whose training and validation losses
+    are given per epoch (one training batch per epoch)."""
+
+    def __init__(self, train_losses, val_losses):
+        self.buffer = np.zeros(2, dtype=np.float32)
+        self.train_losses, self.val_losses = list(train_losses), list(val_losses)
+        self.steps = self.evals = 0
+
+    def parameters(self):
+        return [self.buffer]
+
+    def copy(self, buffer=None):
+        return ScriptedLossModel(self.train_losses, self.val_losses)
+
+    def loss_and_grads(self, inputs, targets, grad):
+        grad[...] = 0.0
+        self.steps += 1
+        return self.train_losses[self.steps - 1], grad
+
+    def eval_loss(self, inputs, targets):
+        self.evals += 1
+        return self.val_losses[self.evals - 1]
+
+
+@pytest.mark.parametrize("train_losses, val_losses", [
+    ([0.5, np.nan, 0.5], [0.4, 0.3, 0.2]),
+    ([0.5, 0.5, 0.5], [0.4, np.nan, 0.2]),
+], ids=["nan-train-loss", "nan-val-loss"])
+def test_fit_stops_on_either_non_finite_loss_alone(train_losses, val_losses):
+    xy = (np.zeros((4, 1)), np.zeros((4, 1)))
+    cfg = nets.TrainConfig(batch_size=4, max_epochs=3, patience=3, seed=0)
+    with pytest.raises(DivergedError) as err:
+        nets.fit(ScriptedLossModel(train_losses, val_losses), xy, xy, cfg)
+    assert err.value.epoch == 2
+    # control: the same losses without the NaN train all three epochs
+    finite = ScriptedLossModel([0.5] * 3, [0.4, 0.3, 0.2])
+    hist = nets.fit(finite, xy, xy, cfg)
+    assert hist.val_losses == [0.4, 0.3, 0.2] and hist.best_epoch == 3
 
 
 def test_train_config_validation():

@@ -173,7 +173,8 @@ def test_bonferroni():
     assert stats.bonferroni([]) == []
     corrected = stats.bonferroni([0.03])
     assert corrected == [0.03]
-    for ps in ([1.5], [0.2, -0.1]):
+    # min(1.0, nan * m) is 1.0, so a NaN row would read as not significant
+    for ps in ([1.5], [0.2, -0.1], [np.nan, 0.01], [0.01, np.nan]):
         with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
             stats.bonferroni(ps)
     assert stats.bonferroni([0.0, 1.0]) == [0.0, 1.0]
