@@ -558,7 +558,7 @@ def split_repeated(data: LabeledDataset, plan: SplitPlan, k: int):
     perm = rng_for(plan.seed, "split", k).permutation(n)
     n_test = int(round(TEST_FRACTION * n))
     n_val = int(round(VAL_FRACTION * (n - n_test)))
-    if n_test < 1 or n_val < 1 or n - n_test - n_val < 1:
+    if n_val < 1:  # n >= 4 gives n_test >= 1; n_val >= 1 leaves training >= 3
         raise SplitError("dataset too small to split")
     test = np.sort(perm[:n_test])
     val = np.sort(perm[n_test : n_test + n_val])

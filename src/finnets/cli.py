@@ -441,8 +441,8 @@ def cmd_oracle(args) -> int:
     feature = args.feature
     if (args.demo is None) == (args.signals_csv is None):
         raise CliError("provide exactly one of --demo or --signals-csv")
-    if not args.sample_rate > 0:  # NaN included
-        raise CliError(f"--sample-rate must be positive, got {args.sample_rate}")
+    if not 0 < args.sample_rate < np.inf:  # NaN included
+        raise CliError(f"--sample-rate must be positive and finite, got {args.sample_rate}")
     if args.demo is not None:
         signals, first_row = [_demo_signal(args.demo, args.sample_rate)], None
     else:

@@ -437,8 +437,6 @@ class EnsembleNet:
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.head_w.dtype)
-        if x.ndim == 2:
-            x = x[None, :, :]
         if x.ndim != 3 or x.shape[1] != self.n_channels or x.shape[2] != self.input_dim:
             raise ShapeError(
                 f"expected (batch, {self.n_channels}, {self.input_dim}) input,"

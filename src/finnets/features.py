@@ -76,8 +76,8 @@ class Signal:
             raise ValueError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if not (self.sample_rate > 0):
-            raise ValueError("sample_rate must be positive")
+        if not (0 < self.sample_rate < np.inf):
+            raise ValueError("sample_rate must be positive and finite")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
@@ -357,8 +357,8 @@ def compute_features(samples: np.ndarray, sample_rate: float, feature: str) -> n
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("samples must be (n_signals, length) with length >= 1")
-    if not (sample_rate > 0):
-        raise ValueError("sample_rate must be positive")
+    if not (0 < sample_rate < np.inf):
+        raise ValueError("sample_rate must be positive and finite")
     out = np.empty((x.shape[0], feature_width(feature)))
     oracle = _oracle(feature, x.shape[1], float(sample_rate))
     for start in range(0, x.shape[0], _ROWS):

@@ -323,8 +323,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:

@@ -58,11 +58,11 @@ class GenSpec:
     def __post_init__(self):
         if self.length < 64:
             raise ValueError("length must be >= 64")
-        if not (_tone_top(self.sample_rate) >= CWT_F_MIN):  # 0, < 0 and NaN too
+        if not (CWT_F_MIN <= _tone_top(self.sample_rate) < np.inf):  # NaN too
             raise ValueError(
-                f"sample_rate must be at least "
-                f"{4.0 * CWT_F_MIN / _TONE_FRACTION:.2f} Hz: below that the tone "
-                f"band from {CWT_F_MIN:g} Hz to {_TONE_FRACTION:g} * fs / 4 is empty")
+                f"sample_rate must be at least {4.0 * CWT_F_MIN / _TONE_FRACTION:.2f}"
+                f" Hz and finite: below that the tone"
+                f" band from {CWT_F_MIN:g} Hz to {_TONE_FRACTION:g} * fs / 4 is empty")
         unknown = set(self.family_weights) - set(GENERATOR_FAMILIES)
         if unknown:
             raise ValueError(f"unknown generator families: {sorted(unknown)}")
@@ -297,9 +297,9 @@ def scalograms(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     elif jobs:
         with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
             list(pool.map(_pinned_block, cpus, jobs))
-    # min and max propagate NaN and allocate nothing batch-sized
-    if pooled.size and not (pooled.min() >= 0 and pooled.max() < np.inf):
-        raise ValueError("magnitudes must be finite and non-negative")
+    # means of np.abs are never negative; max propagates NaN, allocating nothing
+    if pooled.size and not pooled.max() < np.inf:
+        raise ValueError("magnitudes must be finite")
     return pooled
 
 

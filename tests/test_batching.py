@@ -235,6 +235,8 @@ def test_batch_validation():
         fe.compute_features(x, 100.0, "entropy")
     with pytest.raises(ValueError):
         fe.compute_features(x[0], 100.0, "entropy")  # not 2-D
+    with pytest.raises(ValueError, match="with length >= 1"):
+        fe.compute_features(x[:2, :0], 100.0, "entropy")  # rows of no samples
     with pytest.raises(ValueError):
         fe.compute_features(x[:2], 100.0, "loudness")
 

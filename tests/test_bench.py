@@ -72,6 +72,9 @@ def test_dataset_validation_errors():
         inputs[5, 0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             bench.LabeledDataset(inputs, labels, 2)
+    # an empty dataset meets the class-size rule, not numpy's zero-size error
+    with pytest.raises(ValueError, match="every class needs at least two items"):
+        bench.LabeledDataset(np.zeros((0, 1, 4)), np.zeros(0), 2)
     bench.LabeledDataset(good, labels, 2)  # the clean control
 
 
@@ -115,6 +118,10 @@ def test_split_repeated_partitions():
         for part in (train, val, test):
             assert np.array_equal(part, np.sort(part))
             assert len(np.unique(data.labels[part])) == 2
+    # round(0.15 * 24) = round(3.6) is 4 test items, where truncation gives 3
+    small = bench.split_repeated(toy_dataset(n_items=24),
+                                 bench.SplitPlan(mode="repeated_random", repeats=1, seed=0), 0)
+    assert [len(part) for part in small] == [17, 3, 4]
 
 
 def test_split_repeated_is_seeded():
@@ -712,6 +719,13 @@ def test_fraction_one_matches_plain_split():
     assert [r.accuracy for r in plain.runs] == [r.accuracy for r in sweep.runs]
 
 
+def test_fraction_key_is_the_nearest_thousandth():
+    # a fraction's subsample and run seeds derive from its key, so 0.2999
+    # shares 0.3's, where truncation would key it 299
+    keys = [bench._fraction_key(f) for f in (0.2999, 0.3, 0.3004, 1.0)]
+    assert keys == [300, 300, 300, 1000]
+
+
 def test_run_benchmark_validation():
     data = toy_dataset(n_items=30)
     plan = bench.SplitPlan(mode="repeated_random", repeats=1, seed=0)
@@ -1008,6 +1022,7 @@ def test_ingest_error_rows(tmp_path):
     assert ingest_error(tmp_path, "empty.csv", "") == 1
     assert ingest_error(tmp_path, "head.csv", "a,b,c,d,v0\n") == 1
     assert ingest_error(tmp_path, "cols.csv", "item_id,subject_id,label,channel,v0,v2\n") == 1
+    assert ingest_error(tmp_path, "novalues.csv", "item_id,subject_id,label,channel\n0,,0,0\n") == 1
     assert ingest_error(tmp_path, "nodata.csv", HEADER) == 2
     assert ingest_error(tmp_path, "short.csv", HEADER + "0,,0,0,1.0\n") == 2
     assert ingest_error(tmp_path, "numeric.csv", HEADER + "0,,zero,0,1.0,2.0\n") == 2

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import finnets
-from finnets import bench, engine, features, report, signals
-from finnets.cli import EXIT_CONFIG, _config_actions, build_parser, main
+from finnets import bench, engine, features, nets, report, signals
+from finnets.cli import EXIT_CONFIG, GRADCHECK_TOLERANCE, _config_actions, build_parser, main
 from finnets.nets import TrainConfig
 from finnets.rng import derive_seed
 
@@ -139,6 +139,11 @@ def test_pretrain_checks_its_artifact_path_before_training(tmp_path, monkeypatch
     assert main(base + ["--out", "missing/e.fin"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write artifact: ") and "missing" in err
+    # a regular file, writable but no directory
+    (tmp_path / "plain").write_text("")
+    assert main(base + ["--out", "plain/e.fin"]) == 4
+    assert capsys.readouterr().err.endswith("plain is not a writable directory\n")
+    (tmp_path / "plain").unlink()
     monkeypatch.setattr(os, "access", lambda path, mode: False)  # a read-only directory
     assert main(base + ["--out", "e.fin"]) == 4
     assert capsys.readouterr().err.startswith("error: cannot write artifact: ")
@@ -283,6 +288,18 @@ def test_gradcheck_passes(capsys):
     assert worst <= 1e-4
 
 
+def test_gradcheck_fails_above_its_tolerance(monkeypatch, capsys):
+    monkeypatch.setattr(nets, "gradcheck_suite", lambda n_nets, seed: 2 * GRADCHECK_TOLERANCE)
+    assert main(["gradcheck"]) == 1
+    captured = capsys.readouterr()
+    assert float(captured.out.split()[1]) == 2 * GRADCHECK_TOLERANCE
+    assert captured.err == "error: gradient check failed: 0.0002 > 0.0001\n"
+    # control: exactly the tolerance passes
+    monkeypatch.setattr(nets, "gradcheck_suite", lambda n_nets, seed: GRADCHECK_TOLERANCE)
+    assert main(["gradcheck"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_gradcheck_rejects_no_nets(capsys):
     # checking zero nets would pass vacuously with max_rel_error 0
     for n in ("0", "-3"):
@@ -408,6 +425,11 @@ def test_oracle_signals_csv_needs_its_index_header_and_two_samples_a_row(tmp_pat
     assert main(argv) == 0  # control
     capsys.readouterr()
     text = path.read_text().splitlines()
+    # an empty file has no header at all
+    path.write_text("")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: row 1: signal CSV must start with an index column\n")
     # a header that does not start with `index` is not taken as one
     path.write_text("\n".join(["time" + text[0][len("index"):]] + text[1:]) + "\n")
     assert main(argv) == 2
@@ -462,10 +484,11 @@ def test_oracle_demo_is_sampled_at_sample_rate(tmp_path, capsys):
     assert capsys.readouterr().out != want
     # a rate the demo cannot be sampled at is named as such, for either source
     for source in (["--demo", "10hz-sine"], ["--signals-csv", str(path)]):
-        for rate in ("0", "-5", "nan"):
+        for rate in ("0", "-5", "nan", "inf"):
             assert main(["oracle", "--feature", "mfcc", *source, "--sample-rate", rate]) == 2
             captured = capsys.readouterr()
-            assert captured.err == f"error: --sample-rate must be positive, got {float(rate)}\n"
+            assert captured.err == (f"error: --sample-rate must be positive and finite,"
+                                    f" got {float(rate)}\n")
 
 
 def test_oracle_missing_signals_csv_is_an_io_error(tmp_path, capsys):
@@ -798,9 +821,26 @@ def test_pretrain_rejects_a_sample_rate_without_a_tone_band(tmp_path, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: sample_rate must be at least 4.21 Hz: below that the tone "
+        "error: sample_rate must be at least 4.21 Hz and finite: below that the tone "
         "band from 1 Hz to 0.95 * fs / 4 is empty\n")
     assert not (tmp_path / "x.fin").exists()
+
+
+def test_pretrain_refuses_an_infinite_rate_before_any_signal(tmp_path, monkeypatch, capsys):
+    def no_signals(*args, **kwargs):
+        raise AssertionError("signals generated before the rate was checked")
+
+    monkeypatch.setattr(signals, "generate_rows", no_signals)
+    base = ["pretrain", "--feature", "entropy", "--out", "a.fin", "--out-dir", str(tmp_path)]
+    for flag, rule in (("--sample-rate", "sample_rate must be at least 4.21 Hz and finite"),
+                       ("--learning-rate", "learning_rate must be positive and finite")):
+        assert main(base + [flag, "inf"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {rule}")
+    assert os.listdir(tmp_path) == []
+    bench_argv = BENCH_BASE + ["--models", "knn", "--learning-rate", "inf",
+                               "--out-dir", str(tmp_path / "bench")]
+    assert main(bench_argv) == 2
+    assert capsys.readouterr().err.startswith("error: learning_rate must be positive and finite")
 
 
 def test_bench_loso_with_subjects(tmp_path, capsys):

@@ -527,6 +527,10 @@ def test_future_version_is_unsupported(tiny_artifact, tmp_path):
     rewrite_header(path, lambda doc: doc.update(format_version=engine.FORMAT_VERSION + 1))
     with pytest.raises(UnsupportedVersion):
         engine.load_fin(path)
+    # a header without a version is of no version this one reads, not corrupt
+    rewrite_header(path, lambda doc: doc.pop("format_version"))
+    with pytest.raises(UnsupportedVersion, match="format_version None is not supported"):
+        engine.load_fin(path)
 
 
 def test_corrupt_payload_and_fields(tiny_artifact, tmp_path):
@@ -819,8 +823,12 @@ def test_ensemble_rejects_mismatched_branches():
     with pytest.raises(ValueError, match="at least one branch"):
         engine.build_ensemble([], n_channels=2, n_classes=2, seed=0)
     good = engine.build_ensemble(arts[:1], n_channels=2, n_classes=2, seed=0)
-    with pytest.raises(ShapeError):
-        good.forward(np.ones((4, 3, 64)))  # wrong channel count
+    assert good.forward(np.ones((4, 2, 64))).shape == (4, 2)  # control
+    # the wrong channel count or tf dim, a trailing axis, or one unbatched item
+    for shape in ((4, 3, 64), (4, 2, 63), (4, 2, 64, 1), (2, 64)):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"expected (batch, 2, 64) input, got {shape}")):
+            good.forward(np.ones(shape))
 
 
 def test_permuting_branches_permutes_head_blocks():
@@ -883,6 +891,12 @@ def test_fine_tune_dense_path_and_validation(tiny_artifact):
     assert trained is not net and not np.array_equal(trained.buffer, before)
     with pytest.raises(ValueError):
         engine.fine_tune(net, (x, labels + 5), (x, labels), cfg)
+    # a label of -1 would one-hot encode as the last class
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, class_count\)"):
+        engine.fine_tune(net, (x, labels - 1), (x, labels), cfg)
+    # an empty set meets fit's rule, not numpy's zero-size error
+    with pytest.raises(ValueError, match="training and validation sets must be non-empty"):
+        engine.fine_tune(net, (x[:0], labels[:0]), (x, labels), cfg)
     with pytest.raises(ShapeError):
         engine.fine_tune(tiny_artifact.net, (x, labels), (x, labels), cfg)
     with pytest.raises(TypeError):
@@ -900,15 +914,18 @@ def test_artifact_validation():
             gen_spec_digest="0" * 64,
             history_summary={},
         )
-    with pytest.raises(ShapeError):
-        engine.FinArtifact(
-            feature="entropy",
-            net=net,
-            norm_lo=np.zeros(2),
-            norm_hi=np.ones(2),
-            gen_spec_digest="0" * 64,
-            history_summary={},
-        )
+    # both vectors, or either alone, of the wrong size
+    for lo, hi in ((np.zeros(2), np.ones(2)), (np.zeros(2), np.ones(1)),
+                   (np.zeros(1), np.ones(2))):
+        with pytest.raises(ShapeError, match="normalization vectors must match the output dim"):
+            engine.FinArtifact(
+                feature="entropy",
+                net=net,
+                norm_lo=lo,
+                norm_hi=hi,
+                gen_spec_digest="0" * 64,
+                history_summary={},
+            )
     with pytest.raises(ValueError):
         engine.FinArtifact(
             feature="entropy",

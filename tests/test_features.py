@@ -342,6 +342,12 @@ def test_normalize_rejects_bad_ranges():
         fe.normalize_feature(np.ones(1), np.ones(1), np.ones(1))  # hi == lo
     with pytest.raises(ValueError):
         fe.normalize_feature(np.ones(1), np.array([5.0]), np.array([1.0]))
+    # either bound alone of the wrong shape; a (1,) bound would broadcast
+    # over the 13 mfcc components
+    for lo, hi in ((np.zeros(1), np.ones(13)), (np.zeros(13), np.ones(1))):
+        with pytest.raises(ValueError, match="normalization range shape mismatch"):
+            fe.normalize_feature(np.full(13, 0.5), lo, hi)
+    assert fe.normalize_feature(np.full(13, 0.5), np.zeros(13), np.ones(13)).shape == (13,)
     # an infinite bound or width would map every value to 0 or NaN; an
     # overflowing width is refused without a warning
     bad = ((0.0, np.inf), (-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308))
@@ -359,13 +365,18 @@ def test_mfcc_at_the_corpus_rate_carries_13_numbers():
     assert np.linalg.matrix_rank(coeffs - coeffs.mean(axis=0)) == fe.DEFAULT_N_MFCC
 
 
-SWEEP_HZ = (4.21, 64.0, 100.0, 128.0, 250.0, 500.0, 1000.0, 2000.0, 8000.0, 16000.0)
+# at 3350 Hz both lengths round up, (83.75, 33.5) -> (84, 34), where
+# truncation would give (83, 33)
+SWEEP_HZ = (4.21, 64.0, 100.0, 128.0, 250.0, 500.0, 1000.0, 2000.0, 3350.0, 8000.0,
+            16000.0)
 
 
 @pytest.mark.parametrize("fs", SWEEP_HZ)
 def test_documented_mfcc_geometry_weights_every_mel_filter(fs):
     frame_len, hop = fe._mfcc_geometry(fs)
     assert (frame_len, hop) == (max(round(0.025 * fs), 64), max(round(0.010 * fs), 32))
+    if fs == 3350.0:
+        assert (frame_len, hop) == (84, 34)
     assert fe.mel_filterbank(fe.MFCC_N_FILTERS, frame_len, fs).any(axis=1).all()
     # negative control: 25 ms frames without the floor leave filters empty
     # up to 1 kHz, and the bank refuses them
@@ -451,10 +462,13 @@ def test_compute_feature_widths_match_declaration():
 def test_signal_validation():
     with pytest.raises(ValueError):
         fe.Signal(np.ones((2, 2)), FS)  # not 1-D
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        fe.Signal(np.array([]), FS)
     with pytest.raises(ValueError):
         fe.Signal(np.array([1.0, np.nan]), FS)
-    with pytest.raises(ValueError):
-        fe.Signal(np.ones(4), 0.0)
+    for fs in (0.0, np.inf):
+        with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+            fe.Signal(np.ones(4), fs)
 
 
 def test_one_name_rule_refuses_an_unknown_feature_everywhere():
@@ -487,7 +501,7 @@ def test_moment_and_regularity_length_floors():
         assert value.shape == (1, 1) and np.isfinite(value).all()
 
 
-@pytest.mark.parametrize("fs", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("fs", [0.0, -1.0, np.nan, np.inf])
 def test_compute_features_refuses_a_sample_rate_that_is_not_positive(fs):
     x = corpus(2)[0].samples[None, :]
     # without the check, f0 at -1 Hz reads 0.0 Hz, "aperiodic", without an error

@@ -1,4 +1,4 @@
-"""`tools/mutate.py`, the guard-deletion survey, on a toy package."""
+"""`tools/mutate.py`, the mutation survey, on a toy package."""
 
 import importlib.util
 import subprocess
@@ -24,18 +24,34 @@ def half(n):
     else:
         pass
     return n // 2
+
+
+def share(n, fraction):
+    """round(n * fraction) of n items: a docstring's round( is no call."""
+    if n < 0 or not (fraction > 0 and fraction <= 1):
+        raise ValueError("bad share")
+    return round(n * fraction)
 '''
+
+SHARE = "n < 0 or not (fraction > 0 and fraction <= 1)"
 
 TOY_TEST = '''\
 import pytest
 
-from finnets.toy import half
+from finnets.toy import half, share
 
 
 def test_half():
     assert half(4) == 2
+    assert half(102) == 51
     with pytest.raises(ValueError):
         half(-1)
+
+
+def test_share():
+    assert share(7, 0.5) == 4
+    with pytest.raises(ValueError):
+        share(7, 0.0)
 '''
 
 
@@ -53,6 +69,24 @@ def test_guards_are_raising_ifs_without_else():
     assert mutate.guards(TOY) == [
         (2, "n < 0", (TOY.index("n < 0"), TOY.index("n < 0") + 5)),
         (4, "n % 2 and n > 100", (TOY.index("n % 2"), TOY.index(" 100)") + 4)),
+        (18, SHARE, (TOY.index(SHARE), TOY.index(SHARE) + len(SHARE))),
+    ]
+
+
+def test_mutants_drop_each_guard_operand_and_truncate_each_round_call():
+    # operands at every depth of a guard's condition, and only the round
+    # that is a call
+    assert [m[:4] for m in mutate.mutants(TOY)] == [
+        ("guard", 2, "n < 0", "False"),
+        ("guard", 4, "n % 2 and n > 100", "False"),
+        ("guard", 18, SHARE, "False"),
+        ("operand", 4, "n % 2 and n > 100", "n > 100"),
+        ("operand", 4, "n % 2 and n > 100", "n % 2"),
+        ("operand", 18, SHARE, "not (fraction > 0 and fraction <= 1)"),
+        ("operand", 18, SHARE, "n < 0"),
+        ("operand", 18, "fraction > 0 and fraction <= 1", "fraction <= 1"),
+        ("operand", 18, "fraction > 0 and fraction <= 1", "fraction > 0"),
+        ("round", 20, "round(n * fraction)", "int(n * fraction)"),
     ]
 
 
@@ -63,10 +97,14 @@ def test_survey_reports_the_guard_no_test_kills(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "src/finnets/toy.py:4 n % 2 and n > 100",
-        "module survivors/guards",
-        "toy 1/2",
-        "total 1/2",
+        "src/finnets/toy.py:4 guard: n % 2 and n > 100 -> False",
+        "src/finnets/toy.py:4 operand: n % 2 and n > 100 -> n % 2",
+        "src/finnets/toy.py:18 operand: n < 0 or not (fraction > 0 and fraction <= 1)"
+        " -> not (fraction > 0 and fraction <= 1)",
+        "src/finnets/toy.py:18 operand: fraction > 0 and fraction <= 1 -> fraction > 0",
+        "module survivors/mutants: guard operand round",
+        "toy 1/3 3/6 0/1",
+        "total 1/3 3/6 0/1",
     ]
     # the tree it surveyed is untouched
     assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before

@@ -96,6 +96,9 @@ def test_forward_shapes_and_softmax_rows():
     assert np.all(batch > 0)
     with pytest.raises(ShapeError):
         nets.forward(net, np.ones(5))
+    # a batch of 4 x 4 items has the right last axis but is no batch of vectors
+    with pytest.raises(ShapeError):
+        nets.forward(net, np.ones((2, 4, 4)))
 
 
 def test_loss_values_by_hand():
@@ -345,12 +348,16 @@ def test_fit_stops_on_either_non_finite_loss_alone(train_losses, val_losses):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        nets.TrainConfig(learning_rate=0.0)
+    for rate in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            nets.TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         nets.TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        nets.TrainConfig(batch_size=0)
+    # each count is refused by its own rule, before the patience rule that
+    # max_epochs 0 would also break
+    for bad in ({"batch_size": 0}, {"max_epochs": 0}, {"patience": 0}):
+        with pytest.raises(ValueError, match="batch_size, max_epochs, patience must be positive"):
+            nets.TrainConfig(**bad)
     with pytest.raises(ValueError):
         nets.TrainConfig(patience=10, max_epochs=5)
 

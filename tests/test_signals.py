@@ -136,7 +136,7 @@ def test_gen_spec_sample_rate_floor():
             sg.GenSpec(length=64, sample_rate=fs, family_weights=tones)
 
 
-@pytest.mark.parametrize("fs", [0.0, -128.0, np.nan])
+@pytest.mark.parametrize("fs", [0.0, -128.0, np.nan, np.inf])
 def test_gen_spec_tone_band_rule_refuses_every_rate_that_is_not_positive(fs):
     # the tone-band rule is the only sample-rate rule
     with pytest.raises(ValueError, match=r"sample_rate must be at least 4\.21 Hz"):
@@ -202,9 +202,11 @@ def test_scalograms_name_their_shape_rules():
         sg.scalograms(x, 128.0)
     with pytest.raises(ValueError, match="signal shorter than the 32-frame grid"):
         sg.scalograms(x[None, :31], 128.0)
-    # controls: one row of 32 samples, the grid itself, runs
+    # controls: one row of 32 samples, the grid itself, runs, and so does
+    # a batch of no rows
     mags = sg.scalograms(x[None, :32], 128.0)
     assert mags.shape == (1, sg.DEFAULT_N_SCALES, sg.DEFAULT_N_FRAMES)
+    assert sg.scalograms(np.zeros((0, 512)), 128.0).shape == (0, 32, 32)
 
 
 def _reference_transform(x, fs):
@@ -302,7 +304,7 @@ def test_scalograms_reject_non_finite_rows(bad):
     mags = sg.scalograms(samples, spec.sample_rate)
     assert np.all(np.isfinite(mags))
     samples[1, 100] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="magnitudes must be finite"):
         sg.scalograms(samples, spec.sample_rate)
 
 

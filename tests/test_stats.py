@@ -153,12 +153,13 @@ def test_welch_two_constant_samples_are_degenerate_whatever_their_means():
         for alternative in ("greater", "less"):
             with pytest.raises(DegenerateGroups, match="both samples are constant"):
                 stats.welch_t_one_tailed(a, b, alternative)
-    # control: a constant sample against a varying one gives scipy's finite t
-    a, b = [0.2] * 3, [0.1, 0.12, 0.15]
-    t, p = stats.welch_t_one_tailed(a, b, "greater")
-    want = scipy.stats.ttest_ind(a, b, equal_var=False, alternative="greater")
-    assert math.isfinite(t) and t == pytest.approx(float(want.statistic), rel=1e-9)
-    assert p == pytest.approx(float(want.pvalue), rel=1e-9, abs=0.0)
+    # control: a constant sample against a varying one, on either side,
+    # gives scipy's finite t
+    for a, b in (([0.2] * 3, [0.1, 0.12, 0.15]), ([0.1, 0.12, 0.15], [0.2] * 3)):
+        t, p = stats.welch_t_one_tailed(a, b, "greater")
+        want = scipy.stats.ttest_ind(a, b, equal_var=False, alternative="greater")
+        assert math.isfinite(t) and t == pytest.approx(float(want.statistic), rel=1e-9)
+        assert p == pytest.approx(float(want.pvalue), rel=1e-9, abs=0.0)
 
 
 def test_welch_size_guard_names_its_rule():
